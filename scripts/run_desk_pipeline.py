@@ -9,14 +9,20 @@ stage goes through the command-line entry points, so the artifacts under
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
+# The stages run in this process with the default --threads 1, and numpy
+# reads the BLAS thread cap only when it loads, so set it before any import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tdsv.cli import main as tdsv
-from tdsv.config import HEADER
+from tdsv.config import PipelineConfig, save_config
 
 
 def run(argv, label):
@@ -46,7 +52,7 @@ def main():
     work.mkdir(parents=True, exist_ok=True)
 
     cfg = work / "pipeline.cfg"
-    cfg.write_text(f"{HEADER}\nepochs={args.epochs}\n")
+    save_config(cfg, PipelineConfig(epochs=args.epochs))
 
     run(["--seed", str(args.corpus_seed), "--output-dir", str(corpus),
          "synth", "--speakers", str(args.speakers),

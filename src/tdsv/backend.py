@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .errors import (DegenerateError, DimensionError, InsufficientDataError,
                      IterationLimitError, RankDeficiencyError)
 from .resnet import length_normalize
@@ -315,8 +316,6 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
 
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
-    from . import fileio
-
     fields = {"phrases": ",".join(sorted(backends))}
     tensors = {}
     for phrase in sorted(backends):
@@ -329,8 +328,6 @@ def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
-    from . import fileio
-
     fields, tensors = fileio.read_tensor_dir(path, "svbackend", 1)
     backends = {}
     for phrase in fields["phrases"].split(","):
@@ -345,8 +342,6 @@ def load_backends(path) -> dict[str, "PhraseBackend"]:
 
 
 def save_fusion(path, model: FusionModel) -> None:
-    from . import fileio
-
     fileio.write_tensor_dir(path, "svfusion", 1,
                             {"bias": repr(model.bias),
                              "num_systems": str(model.weights.size)},
@@ -354,8 +349,6 @@ def save_fusion(path, model: FusionModel) -> None:
 
 
 def load_fusion(path) -> FusionModel:
-    from . import fileio
-
     fields, tensors = fileio.read_tensor_dir(path, "svfusion", 1)
     return FusionModel(tensors["weights"].astype(np.float64),
                        float(fields["bias"]))

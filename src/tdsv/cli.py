@@ -8,7 +8,9 @@ temp file + rename), and exits nonzero with a one-line ``error: ...`` message
 on failure.
 
 Heavy imports happen after argument parsing so --threads can pin the BLAS
-thread pools via environment variables before numpy loads.
+thread pools via environment variables before numpy loads.  An in-process
+caller that has already loaded numpy must set those variables itself; main
+warns when it finds them different from --threads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ _GLOBAL_FLAGS = (
 )
 
 _GLOBAL_DEFAULTS = {"config": None, "seed": 0, "threads": 1, "output_dir": "."}
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,10 +124,9 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .resnet import PRESETS, Network, save_network
+    from .resnet import build_network, save_network
     from .train import TrainConfig, train, write_training_log
     from .trials import read_corpus
-    from dataclasses import replace
 
     cfg = _load_pipeline_config(args)
     corpus_dir = Path(args.corpus)
@@ -135,13 +138,12 @@ def cmd_train(args) -> int:
         raise InsufficientDataError("corpus has no background utterances")
     speakers = sorted({e.speaker_id for e in entries})
     label_of = {s: i for i, s in enumerate(speakers)}
-    net_cfg = replace(PRESETS[cfg.preset], num_speakers=len(speakers))
+    net = build_network(len(speakers), args.seed, cfg.preset)
     inputs = np.stack([
-        _fixed_spectrogram(corpus_dir / e.wav_path, net_cfg.input_width)
+        _fixed_spectrogram(corpus_dir / e.wav_path, net.config.input_width)
         for e in entries]).astype(np.float32)[:, :, :, None]
     labels = np.array([label_of[e.speaker_id] for e in entries])
 
-    net = Network(net_cfg, seed=args.seed)
     out = _out(args)
     history = train(net, inputs, labels,
                     TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
@@ -318,8 +320,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(args.threads)
+    threads = str(args.threads)
+    differ = [v for v in _BLAS_VARS if os.environ.get(v) != threads]
+    if differ and "numpy" in sys.modules:
+        print(f"warning: numpy was loaded before --threads {threads} could set "
+              f"{', '.join(differ)}; the BLAS thread cap may not apply",
+              file=sys.stderr)
+    for var in _BLAS_VARS:
+        os.environ[var] = threads
     from .errors import TdsvError
 
     try:

@@ -1,4 +1,4 @@
-"""Audio frontend: WAV ingestion, log-power spectrograms, MFCC features.
+"""Audio frontend: WAV ingestion and log-power spectrograms.
 
 Everything here is a pure function of its inputs, so concurrent use is
 safe.  The pipeline rate is 16 kHz PCM-16 mono throughout; no voice
@@ -11,11 +11,8 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import AudioFormatError, TooShortError, UnsupportedAudioError
-
-PIPELINE_SAMPLE_RATE = 16000
 
 
 @dataclass(frozen=True)
@@ -41,18 +38,6 @@ class SpectrogramConfig:
     frame_step: int = 64
     fft_len: int = 512       # window is zero-padded; fft_len//2 + 1 frequency bins
     log_floor: float = 1e-10
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    window_len: int = 400    # 25 ms at 16 kHz
-    frame_step: int = 160    # 10 ms
-    fft_len: int = 512
-    num_filters: int = 26
-    num_ceps: int = 19       # DCT coefficients 1..19 (c0 dropped)
-    low_hz: float = 0.0
-    high_hz: float = 8000.0
-    delta_radius: int = 2
 
 
 def read_wav(path) -> Waveform:
@@ -128,81 +113,14 @@ def compute_spectrogram(w: Waveform, config: SpectrogramConfig = SpectrogramConf
                        frame_step=config.frame_step)
 
 
-def fit_length(bins: np.ndarray | Spectrogram, width: int = 800) -> np.ndarray:
+def fit_length(bins: np.ndarray, width: int = 800) -> np.ndarray:
     """Normalize frame count to ``width``: crop at the left edge, or tile
     the image end-to-end with copies of itself until wide enough.
 
     Output column j always equals input column (j mod T).
     """
-    if isinstance(bins, Spectrogram):
-        bins = bins.bins
     t = bins.shape[1]
     if t >= width:
         return bins[:, :width].copy()
     reps = -(-width // t)  # ceil
     return np.tile(bins, (1, reps))[:, :width]
-
-
-def mel_scale(hz):
-    return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
-
-
-def mel_inverse(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(num_filters: int, fft_len: int, sample_rate: int,
-                   low_hz: float, high_hz: float) -> np.ndarray:
-    """Triangular filters on the mel scale, [num_filters x (fft_len//2 + 1)]."""
-    edges = mel_inverse(np.linspace(mel_scale(low_hz), mel_scale(high_hz), num_filters + 2))
-    bin_hz = np.arange(fft_len // 2 + 1) * sample_rate / fft_len
-    bank = np.zeros((num_filters, fft_len // 2 + 1))
-    for m in range(num_filters):
-        left, center, right = edges[m], edges[m + 1], edges[m + 2]
-        up = (bin_hz - left) / (center - left)
-        down = (right - bin_hz) / (right - center)
-        bank[m] = np.maximum(0.0, np.minimum(up, down))
-    return bank
-
-
-def _deltas(x: np.ndarray, radius: int) -> np.ndarray:
-    """Regression-based temporal derivative with edge frames repeated."""
-    padded = np.pad(x, ((radius, radius), (0, 0)), mode="edge")
-    num = np.zeros_like(x)
-    for n in range(1, radius + 1):
-        num += n * (padded[radius + n:radius + n + len(x)] -
-                    padded[radius - n:radius - n + len(x)])
-    return num / (2.0 * sum(n * n for n in range(1, radius + 1)))
-
-
-def compute_mfcc(w: Waveform, config: MfccConfig = MfccConfig()) -> np.ndarray:
-    """MFCC frontend: 19 cepstra + log energy, CMVN, deltas -> [T x 60].
-
-    Hamming-windowed frames, mel filterbank energies, DCT-II keeping
-    coefficients 1..num_ceps, log frame energy as the last static column.
-    Statics are standardized per utterance, then delta and delta-delta
-    columns are appended.
-    """
-    if len(w.samples) < config.window_len:
-        raise TooShortError(
-            f"signal of {len(w.samples)} samples is shorter than one "
-            f"{config.window_len}-sample analysis window")
-    frames = _frame_signal(w.samples, config.window_len, config.frame_step)
-    log_energy = np.log(np.sum(frames ** 2, axis=1) + 1e-12)
-    windowed = frames * np.hamming(config.window_len)
-    power = np.abs(np.fft.rfft(windowed, n=config.fft_len, axis=1)) ** 2
-    bank = mel_filterbank(config.num_filters, config.fft_len, w.sample_rate,
-                          config.low_hz, config.high_hz)
-    fbank = power @ bank.T
-    logfb = np.log(fbank + 1e-12)
-    ceps = dct(logfb, type=2, axis=1, norm="ortho")[:, 1:config.num_ceps + 1]
-    statics = np.concatenate([ceps, log_energy[:, None]], axis=1)
-
-    mean = statics.mean(axis=0)
-    std = statics.std(axis=0)
-    std = np.where(std < 1e-10, 1.0, std)
-    statics = (statics - mean) / std
-
-    d1 = _deltas(statics, config.delta_radius)
-    d2 = _deltas(d1, config.delta_radius)
-    return np.concatenate([statics, d1, d2], axis=1)

@@ -9,10 +9,6 @@ Conventions, pinned because they change results on small trial sets:
   * EER interpolates linearly between the two operating points straddling
     the P_miss = P_fa crossing of the stepwise curve;
   * minDCF is normalized by the better of the accept-all / reject-all costs.
-
-``brute_force_*`` recompute everything by looping over candidate thresholds
-and recounting each trial, O(N^2); they exist to cross-check the vectorized
-path and are kept deliberately independent of it.
 """
 
 from __future__ import annotations
@@ -100,45 +96,6 @@ def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     det = compute_det(trials)
     costs = c_miss * p_tar * det.p_miss + c_fa * (1.0 - p_tar) * det.p_fa
     return float(costs.min() / _dcf_normalizer(p_tar, c_miss, c_fa))
-
-
-def brute_force_det(trials: ScoredTrials) -> DetCurve:
-    trials.require_both_classes()
-    scores = [float(s) for s in trials.scores]
-    labels = [bool(b) for b in trials.labels]
-    num_tgt = sum(1 for b in labels if b)
-    num_non = len(labels) - num_tgt
-    thresholds = [float("-inf")] + sorted(set(scores)) + [float("inf")]
-    p_miss, p_fa = [], []
-    for th in thresholds:
-        misses = sum(1 for s, b in zip(scores, labels) if b and s < th)
-        fas = sum(1 for s, b in zip(scores, labels) if not b and s >= th)
-        p_miss.append(misses / num_tgt)
-        p_fa.append(fas / num_non)
-    return DetCurve(np.array(thresholds), np.array(p_miss), np.array(p_fa))
-
-
-def brute_force_eer(trials: ScoredTrials) -> float:
-    det = brute_force_det(trials)
-    p_miss = [float(v) for v in det.p_miss]
-    p_fa = [float(v) for v in det.p_fa]
-    for i in range(len(p_miss)):
-        d = p_miss[i] - p_fa[i]
-        if d >= 0.0:
-            if i == 0 or d == 0.0:
-                return p_miss[i]
-            d_prev = p_miss[i - 1] - p_fa[i - 1]
-            t = d_prev / (d_prev - d)
-            return p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1])
-    raise NumericalError("miss and false-alarm curves never cross")
-
-
-def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
-                        c_miss: float = 1.0, c_fa: float = 1.0) -> float:
-    det = brute_force_det(trials)
-    best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
-               for pm, pf in zip(det.p_miss, det.p_fa))
-    return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
 
 
 def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,

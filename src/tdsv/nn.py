@@ -203,14 +203,8 @@ class BatchNorm:
 
 
 class ReLU:
-    params: dict = {}
-    grads: dict = {}
-
     def __init__(self):
         self._mask = None
-
-    def zero_grad(self):
-        pass
 
     def forward(self, x, train=False):
         self._mask = x > 0
@@ -224,15 +218,9 @@ class MaxPool:
     """Max pooling with same-style padding; ties route to the first maximal
     cell in row-major window scan order."""
 
-    params: dict = {}
-    grads: dict = {}
-
     def __init__(self, kernel_size=3, stride=2):
         self.kernel = _pair(kernel_size)
         self.stride = _pair(stride)
-
-    def zero_grad(self):
-        pass
 
     def forward(self, x, train=False):
         n, h, w, c = x.shape
@@ -263,14 +251,8 @@ class MaxPool:
 class GlobalAvgPool:
     """[N,H,W,C] -> [N,C] by averaging each channel map."""
 
-    params: dict = {}
-    grads: dict = {}
-
     def __init__(self):
         self._shape = None
-
-    def zero_grad(self):
-        pass
 
     def forward(self, x, train=False):
         self._shape = x.shape

@@ -77,10 +77,7 @@ class PhraseTemplate:
 def make_voice(spec: SynthSpec, index: int) -> Voice:
     rng = np.random.default_rng([spec.seed, 1, index])
     lo, hi = F0_RANGE
-    if spec.num_speakers == 1:
-        base = lo
-    else:
-        base = lo * (hi / lo) ** (index / (spec.num_speakers - 1))
+    base = lo * (hi / lo) ** (index / (spec.num_speakers - 1))
     f0 = base * rng.uniform(0.98, 1.02)
     formants = tuple(rng.uniform(a, b) for a, b in FORMANT_RANGES)
     bandwidths = tuple(rng.uniform(80.0, 200.0) for _ in FORMANT_RANGES)

@@ -7,6 +7,9 @@ are the second route in every dual-route check.
 
 import numpy as np
 
+from tdsv.errors import NumericalError
+from tdsv.metrics import DetCurve, ScoredTrials
+
 
 def relative_error(a, b, floor=1e-12):
     a = np.asarray(a, dtype=np.float64)
@@ -75,15 +78,43 @@ def naive_dft_magnitudes(frame, n):
     return np.array(mags)
 
 
-def naive_filterbank_apply(filters, power):
-    """Explicit double-loop filterbank application."""
-    out = np.zeros(filters.shape[0])
-    for i in range(filters.shape[0]):
-        acc = 0.0
-        for j in range(filters.shape[1]):
-            acc += filters[i, j] * power[j]
-        out[i] = acc
-    return out
+def brute_force_det(trials: ScoredTrials) -> DetCurve:
+    trials.require_both_classes()
+    scores = [float(s) for s in trials.scores]
+    labels = [bool(b) for b in trials.labels]
+    num_tgt = sum(1 for b in labels if b)
+    num_non = len(labels) - num_tgt
+    thresholds = [float("-inf")] + sorted(set(scores)) + [float("inf")]
+    p_miss, p_fa = [], []
+    for th in thresholds:
+        misses = sum(1 for s, b in zip(scores, labels) if b and s < th)
+        fas = sum(1 for s, b in zip(scores, labels) if not b and s >= th)
+        p_miss.append(misses / num_tgt)
+        p_fa.append(fas / num_non)
+    return DetCurve(np.array(thresholds), np.array(p_miss), np.array(p_fa))
+
+
+def brute_force_eer(trials: ScoredTrials) -> float:
+    det = brute_force_det(trials)
+    p_miss = [float(v) for v in det.p_miss]
+    p_fa = [float(v) for v in det.p_fa]
+    for i in range(len(p_miss)):
+        d = p_miss[i] - p_fa[i]
+        if d >= 0.0:
+            if i == 0 or d == 0.0:
+                return p_miss[i]
+            d_prev = p_miss[i - 1] - p_fa[i - 1]
+            t = d_prev / (d_prev - d)
+            return p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1])
+    raise NumericalError("miss and false-alarm curves never cross")
+
+
+def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
+                        c_miss: float = 1.0, c_fa: float = 1.0) -> float:
+    det = brute_force_det(trials)
+    best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
+               for pm, pf in zip(det.p_miss, det.p_fa))
+    return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
 
 
 def pca_variance_oracle(data, k):

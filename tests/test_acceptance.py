@@ -19,15 +19,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import numeric_gradient, relative_error
+from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
+                     numeric_gradient, relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
 from tdsv.cli import main
 from tdsv.features import (SpectrogramConfig, Waveform, compute_spectrogram,
                            fit_length, frame_count)
-from tdsv.metrics import (ScoredTrials, brute_force_det, brute_force_eer,
-                          brute_force_min_dcf, compute_det, compute_eer,
+from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
                           compute_min_dcf, eer_permutation_pvalue)
 from tdsv.resnet import Network, NetworkConfig, build_network, count_parameters
 from tdsv.trials import read_scores

@@ -142,6 +142,20 @@ class TestCliContracts:
         main(["--threads", "1", "--output-dir", str(run / "eval"),
               "eval", "--scores", str(run / "eval" / "scores.tsv")])
 
+    def test_warns_when_numpy_loaded_with_other_thread_cap(
+            self, tmp_path, monkeypatch, capsys):
+        argv = ["--output-dir", str(tmp_path), "eval",
+                "--scores", str(tmp_path / "absent.tsv")]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        main(argv)
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert "OPENBLAS_NUM_THREADS" in warnings[0]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        main(argv)
+        assert "warning: " not in capsys.readouterr().err
+
     def test_missing_scores_file_errors(self, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "eval",
                    "--scores", str(tmp_path / "absent.tsv")])

@@ -1,4 +1,4 @@
-"""Audio frontend: WAV IO, spectrograms, length fitting, MFCCs."""
+"""Audio frontend: WAV IO, spectrograms, length fitting."""
 
 import wave
 
@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dft_magnitudes, naive_filterbank_apply, relative_error
+from helpers import naive_dft_magnitudes, relative_error
 from tdsv.errors import AudioFormatError, TooShortError, UnsupportedAudioError
-from tdsv.features import (MfccConfig, SpectrogramConfig, Spectrogram, Waveform,
-                           compute_mfcc, compute_spectrogram, fit_length,
-                           frame_count, mel_filterbank, read_wav, write_wav)
+from tdsv.features import (SpectrogramConfig, Waveform, compute_spectrogram,
+                           fit_length, frame_count, read_wav, write_wav)
 
 
 def _write_pcm(path, pcm16, rate=16000, channels=1, sampwidth=2):
@@ -135,11 +134,6 @@ class TestFitLength:
         assert np.array_equal(out[:, :500], bins)
         assert np.array_equal(out[:, 500:], bins[:, :300])
 
-    def test_accepts_spectrogram_wrapper(self):
-        bins = self._spec(120)
-        s = Spectrogram(bins, 256, 64)
-        assert np.array_equal(fit_length(s, 200), fit_length(bins, 200))
-
     @given(st.integers(1, 1200), st.integers(0, 2**31 - 1))
     @settings(max_examples=60)
     def test_column_identity_and_idempotence(self, t, seed):
@@ -150,41 +144,3 @@ class TestFitLength:
             if 0 <= j < 800:
                 assert np.array_equal(out[:, j], bins[:, j % t])
         assert np.array_equal(fit_length(out, 800), out)
-
-
-class TestMfcc:
-    def test_shape_and_cmvn(self):
-        rng = np.random.default_rng(5)
-        feats = compute_mfcc(Waveform(rng.normal(size=16000) * 0.1, 16000))
-        assert feats.shape[1] == 60
-        statics = feats[:, :20]
-        assert np.abs(statics.mean(axis=0)).max() < 1e-6
-        assert np.abs(statics.var(axis=0) - 1.0).max() < 1e-6
-
-    def test_zero_signal_deltas_vanish(self):
-        feats = compute_mfcc(Waveform(np.zeros(16000), 16000))
-        # constant statics standardize to zero, so every delta is zero too
-        assert np.abs(feats[:, 20:]).max() == 0.0
-
-    def test_too_short(self):
-        with pytest.raises(TooShortError):
-            compute_mfcc(Waveform(np.zeros(399), 16000))
-
-    def test_filterbank_matches_brute_force(self):
-        cfg = MfccConfig()
-        t = np.arange(cfg.window_len) / 16000.0
-        frame = np.sin(2 * np.pi * 1000.0 * t)
-        power = np.abs(np.fft.rfft(frame * np.hamming(cfg.window_len),
-                                   n=cfg.fft_len)) ** 2
-        bank = mel_filterbank(cfg.num_filters, cfg.fft_len, 16000,
-                              cfg.low_hz, cfg.high_hz)
-        fast = bank @ power
-        slow = naive_filterbank_apply(bank, power)
-        assert relative_error(fast, slow, floor=1e-9) < 1e-6
-
-    def test_filterbank_covers_band(self):
-        bank = mel_filterbank(26, 512, 16000, 0.0, 8000.0)
-        assert bank.shape == (26, 257)
-        assert (bank >= 0.0).all()
-        # interior bins are covered by at least one triangle
-        assert (bank.sum(axis=0)[3:-3] > 0.0).all()

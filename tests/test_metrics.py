@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_force_det, brute_force_eer, brute_force_min_dcf
 from tdsv.errors import DegenerateError, DimensionError, NumericalError
-from tdsv.metrics import (DetCurve, ScoredTrials, brute_force_det,
-                          brute_force_eer, brute_force_min_dcf, compute_det,
-                          compute_eer, compute_min_dcf, det_csv_lines,
-                          det_probit_csv_lines, eer_permutation_pvalue,
-                          summary_lines)
+from tdsv.metrics import (DetCurve, ScoredTrials, compute_det, compute_eer,
+                          compute_min_dcf, det_csv_lines, det_probit_csv_lines,
+                          eer_permutation_pvalue, summary_lines)
 
 WORKED = ScoredTrials(np.array([0.9, 0.8, 0.7, 0.2, 0.6, 0.3, 0.1, 0.05]),
                       np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool))
