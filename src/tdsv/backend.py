@@ -223,30 +223,37 @@ class PhraseBackend:
     cohort: np.ndarray  # [n_cohort, d] raw embeddings, rows follow cohort_ids
 
 
-def fit_backends(records: dict, cohort_utts_by_phrase: dict[str, list[str]]
-                 ) -> dict[str, "PhraseBackend"]:
-    """Fit one PhraseBackend per phrase from the given cohort utterances.
+def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
+                 cohort_size: int = 0) -> dict[str, "PhraseBackend"]:
+    """Fit one PhraseBackend per phrase from its background utterances.
 
     ``records`` maps utterance_id to an embedding record carrying speaker and
-    phrase ids; cohort utterances double as the WCCN fitting set.
+    phrase ids.  WCCN is fitted on every background utterance of the phrase.
+    The s-norm cohort is all of them when ``cohort_size`` is 0, else the
+    first ``cohort_size`` taken round-robin across speakers, each speaker's
+    utterances in id order; cohort rows follow sorted ids.
     """
     backends = {}
-    for phrase in sorted(cohort_utts_by_phrase):
-        utts = sorted(cohort_utts_by_phrase[phrase])
-        by_speaker: dict[str, list[np.ndarray]] = {}
-        rows = []
-        for utt in utts:
+    for phrase in sorted(background_utts_by_phrase):
+        by_speaker: dict[str, list[str]] = {}
+        for utt in sorted(background_utts_by_phrase[phrase]):
             if utt not in records:
-                raise KeyError(f"cohort utterance '{utt}' has no embedding")
+                raise KeyError(f"background utterance '{utt}' has no embedding")
             rec = records[utt]
             if rec.phrase_id != phrase:
                 raise InsufficientDataError(
                     f"utterance '{utt}' belongs to phrase '{rec.phrase_id}', "
                     f"not '{phrase}'")
-            by_speaker.setdefault(rec.speaker_id, []).append(rec.vector)
-            rows.append(rec.vector)
-        wccn = fit_wccn({s: np.stack(v) for s, v in by_speaker.items()}, phrase)
-        backends[phrase] = PhraseBackend(phrase, wccn, tuple(utts), np.stack(rows))
+            by_speaker.setdefault(rec.speaker_id, []).append(utt)
+        wccn = fit_wccn({s: np.stack([records[u].vector for u in utts])
+                         for s, utts in by_speaker.items()}, phrase)
+        # round-robin: every speaker's first utterance, then every second, ...
+        turns = sorted((rank, utt) for utts in by_speaker.values()
+                       for rank, utt in enumerate(utts))
+        cohort_ids = sorted(utt for _, utt in turns[:cohort_size or None])
+        backends[phrase] = PhraseBackend(
+            phrase, wccn, tuple(cohort_ids),
+            np.stack([records[u].vector for u in cohort_ids]))
     return backends
 
 

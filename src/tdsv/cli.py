@@ -125,7 +125,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .resnet import build_network, save_network
-    from .train import TrainConfig, train, write_training_log
+    from .train import TrainConfig, train
     from .trials import read_corpus
 
     cfg = _load_pipeline_config(args)
@@ -148,9 +148,9 @@ def cmd_train(args) -> int:
     history = train(net, inputs, labels,
                     TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                 learning_rate=cfg.learning_rate, seed=args.seed),
-                    checkpoint_dir=out / "checkpoints")
+                    checkpoint_dir=out / "checkpoints",
+                    log_path=out / "training_log.csv")
     save_network(net, out / "model")
-    write_training_log(out / "training_log.csv", history)
     last = history[-1]
     print(f"trained {cfg.epochs} epochs on {len(entries)} utterances; "
           f"final loss={last.loss:.4f} accuracy={last.accuracy:.4f}")
@@ -194,13 +194,11 @@ def cmd_score(args) -> int:
     if args.backend:
         backends = load_backends(Path(args.backend))
     else:
-        cohort: dict[str, list[str]] = {}
+        background: dict[str, list[str]] = {}
         for e in read_corpus(corpus_dir / "corpus.tsv"):
             if e.split == "bg":
-                cohort.setdefault(e.phrase_id, []).append(e.utterance_id)
-        if cfg.cohort_size > 0:
-            cohort = {p: sorted(u)[:cfg.cohort_size] for p, u in cohort.items()}
-        backends = fit_backends(records, cohort)
+                background.setdefault(e.phrase_id, []).append(e.utterance_id)
+        backends = fit_backends(records, background, cfg.cohort_size)
         save_backends(out / "backend", backends)
 
     scores = score_trials(trial_list, records, enroll, backends,

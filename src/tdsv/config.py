@@ -23,7 +23,7 @@ class PipelineConfig:
     batch_size: int = 16
     learning_rate: float = 1e-4
     snorm: bool = True            # apply s-norm after cosine scoring
-    cohort_size: int = 0          # 0 = all background utterances per phrase
+    cohort_size: int = 0          # s-norm cohort per phrase; 0 = all background
     fusion_l2: float = 0.0        # ridge weight for fusion fitting
 
     def __post_init__(self):
@@ -36,8 +36,9 @@ class PipelineConfig:
         if not self.learning_rate > 0.0:
             raise ConfigError(
                 f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.cohort_size < 0:
-            raise ConfigError(f"cohort_size must be >= 0, got {self.cohort_size}")
+        if self.cohort_size < 0 or self.cohort_size == 1:
+            raise ConfigError(
+                f"cohort_size must be 0 (all) or >= 2, got {self.cohort_size}")
         if self.fusion_l2 < 0.0:
             raise ConfigError(f"fusion_l2 must be >= 0, got {self.fusion_l2}")
 

@@ -13,6 +13,7 @@ debugging and tests).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericalError, UninitializedStatsError
 
@@ -79,12 +80,14 @@ class Conv2D:
         self.grad_bias[...] = 0
 
     def _im2col(self, xpad, out_h, out_w):
+        """[N*out_h*out_w, kh*kw*C] patch rows, columns in (i, j, c) order:
+        one copy out of a strided window view."""
         n, _, _, c = xpad.shape
         _, _, kh, kw = self.weight.shape
         sh, sw = self.stride
-        cols = np.empty((n, out_h, out_w, kh, kw, c), dtype=xpad.dtype)
-        for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
-            cols[:, :, :, i, j, :] = xpad[:, sl[0], sl[1], :]
+        windows = sliding_window_view(xpad, (kh, kw), axis=(1, 2))
+        windows = windows[:, :sh * out_h:sh, :sw * out_w:sw]
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
         return cols.reshape(n * out_h * out_w, kh * kw * c)
 
     def forward(self, x):
@@ -100,24 +103,35 @@ class Conv2D:
         cols = self._im2col(xpad, out_h, out_w)
         wmat = self.weight.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
                                                          self.out_channels)
-        out = cols @ wmat + self.bias
+        out = cols @ wmat
+        out += self.bias
         self._cache = (xpad, (n, h, w), (pt, pl), (out_h, out_w))
         return _check("conv2d", out.reshape(n, out_h, out_w, self.out_channels))
 
-    def backward(self, grad_out):
-        xpad, (n, h, w), (pt, pl), (out_h, out_w) = self._cache
+    def _param_backward(self, grad_out):
+        """Accumulate the bias and weight gradients; return grad_out as
+        [N*out_h*out_w, out_ch] rows.  The columns are rebuilt from the cached
+        padded input rather than kept from forward, which would hold every
+        conv's columns until its backward pass."""
+        xpad, (n, _, _), _, (out_h, out_w) = self._cache
         if grad_out.shape != (n, out_h, out_w, self.out_channels):
             raise DimensionError(
                 f"conv backward expects {(n, out_h, out_w, self.out_channels)}, "
                 f"got {grad_out.shape}")
         _, _, kh, kw = self.weight.shape
-        sh, sw = self.stride
         g2 = grad_out.reshape(n * out_h * out_w, self.out_channels)
         self.grad_bias += g2.sum(axis=0)
         cols = self._im2col(xpad, out_h, out_w)
         gw = cols.T @ g2  # [kh*kw*cin, cout]
         self.grad_weight += gw.reshape(kh, kw, self.in_channels,
                                        self.out_channels).transpose(3, 2, 0, 1)
+        return g2
+
+    def backward(self, grad_out):
+        g2 = self._param_backward(grad_out)
+        xpad, (n, h, w), (pt, pl), (out_h, out_w) = self._cache
+        _, _, kh, kw = self.weight.shape
+        sh, sw = self.stride
         wmat = self.weight.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
                                                          self.out_channels)
         gcols = (g2 @ wmat.T).reshape(n, out_h, out_w, kh, kw, self.in_channels)
@@ -170,7 +184,9 @@ class BatchNorm:
         axes = self._axes(x)
         if train:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean
+            # biased variance, summed and divided exactly as np.var does
+            var = np.square(xhat).sum(axis=axes) / (x.size // self.channels)
             m = self.momentum
             self.running_mean[...] = m * self.running_mean + (1 - m) * mean
             self.running_var[...] = m * self.running_var + (1 - m) * var
@@ -179,27 +195,38 @@ class BatchNorm:
             if not self.initialized:
                 raise UninitializedStatsError(
                     "batchnorm inference before any training update")
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         self._cache = (xhat, inv_std, axes, train)
-        return _check("batchnorm", self.gamma * xhat + self.beta)
+        out = xhat * self.gamma
+        out += self.beta
+        return _check("batchnorm", out)
 
     def backward(self, grad_out):
         xhat, inv_std, axes, train = self._cache
         if grad_out.shape != xhat.shape:
             raise DimensionError(
                 f"batchnorm backward expects {xhat.shape}, got {grad_out.shape}")
-        self.grad_gamma += (grad_out * xhat).sum(axis=axes)
+        tmp = grad_out * xhat
+        self.grad_gamma += tmp.sum(axis=axes)
         self.grad_beta += grad_out.sum(axis=axes)
         dxhat = grad_out * self.gamma
         if not train:
-            return dxhat * inv_std
+            dxhat *= inv_std
+            return dxhat
         m = float(np.prod([xhat.shape[a] for a in axes]))
-        # d/dx of ((x - mean)/sqrt(var + eps)) with mean/var functions of x
-        return (inv_std / m) * (m * dxhat
-                                - dxhat.sum(axis=axes)
-                                - xhat * (dxhat * xhat).sum(axis=axes))
+        # d/dx of ((x - mean)/sqrt(var + eps)) with mean/var functions of x:
+        # (inv_std/m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
+        # evaluated in place in that order
+        sum_dxhat = dxhat.sum(axis=axes)
+        sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=axes)
+        dxhat *= m
+        dxhat -= sum_dxhat
+        dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+        dxhat *= inv_std / m
+        return dxhat
 
 
 class ReLU:
@@ -230,11 +257,18 @@ class MaxPool:
         pl, pr, out_w = same_padding(w, kw, sw)
         xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
                       constant_values=-np.inf)
-        windows = np.empty((n, out_h, out_w, kh * kw, c), dtype=x.dtype)
-        for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
-            windows[:, :, :, i * kw + j, :] = xpad[:, sl[0], sl[1], :]
-        argmax = windows.argmax(axis=3)
-        out = np.take_along_axis(windows, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        cells = [xpad[:, sl[0], sl[1], :]
+                 for _, _, sl in _window_slices(kh, kw, sh, sw, out_h, out_w)]
+        # running maximum over the cells in scan order; argmax (the cell index
+        # i*kw + j) moves only on a strict rise, so ties keep the first cell
+        out = cells[0].copy()
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(kh * kw - 1))
+        rises = np.empty(out.shape, dtype=bool)
+        for k, cell in enumerate(cells[1:], start=1):
+            np.greater(cell, out, out=rises)
+            np.maximum(out, cell, out=out)
+            # indices only grow along the scan, so a max records the rise
+            np.maximum(argmax, rises.view(np.uint8) * argmax.dtype.type(k), out=argmax)
         self._cache = (argmax, xpad.shape, (h, w), (pt, pl), (out_h, out_w))
         return _check("maxpool", out)
 

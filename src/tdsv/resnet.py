@@ -161,13 +161,19 @@ class Network:
     def forward(self, x, train=False):
         return self.head.forward(self.features(x, train))
 
-    def backward(self, grad_logits):
+    def backward(self, grad_logits, input_grad=True):
+        """Accumulate every parameter gradient; return the gradient w.r.t.
+        the input, or None when ``input_grad`` is false (training never uses
+        it, and it costs the stem conv's input-gradient GEMM and fold)."""
         g = self.head.backward(grad_logits)
         g = self.pool.backward(g)
         for block in reversed(self.blocks):
             g = block.backward(g)
         g = self.stem_pool.backward(g)
         g = self.stem_relu.backward(g)
+        if not input_grad:
+            self.stem_conv._param_backward(g)
+            return None
         return self.stem_conv.backward(g)
 
 

@@ -4,12 +4,15 @@ Examples are fixed-size spectrogram tensors [N, H, W, 1] with integer speaker
 labels.  Shuffling is driven by a dedicated seeded generator, so a (net seed,
 train seed) pair fully determines the run.  A checkpoint directory is written
 after every epoch; a non-finite loss aborts with a pointer to the last good
-one.
+one.  Each finished epoch prints one progress line to stderr and, when a
+log path is given, appends its row to the training log.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +39,14 @@ class EpochStats:
 
 
 def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
-          config: TrainConfig, checkpoint_dir=None) -> list[EpochStats]:
-    """Run the full loop and return per-epoch mean loss and accuracy."""
+          config: TrainConfig, checkpoint_dir=None,
+          log_path=None) -> list[EpochStats]:
+    """Run the full loop and return per-epoch mean loss and accuracy.
+
+    With ``log_path``, the training log is started before the first epoch
+    and gains each epoch's row once that epoch's checkpoint is written, so a
+    crash leaves the rows of the finished epochs.
+    """
     labels = np.asarray(labels)
     if inputs.ndim != 4 or inputs.shape[0] != labels.shape[0]:
         raise DimensionError(
@@ -52,7 +61,10 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
     adam = Adam(net.named_parameters(), lr=config.learning_rate)
     history: list[EpochStats] = []
     last_good: Path | None = None
+    if log_path is not None:
+        write_training_log(log_path, [])
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n)
         total_loss = 0.0
         correct = 0
@@ -65,21 +77,32 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
                     f"non-finite loss at epoch {epoch}; last good checkpoint: "
                     f"{last_good if last_good is not None else 'none'}")
             net.zero_grad()
-            net.backward(grad)
+            net.backward(grad, input_grad=False)
             adam.step(net.named_gradients())
             total_loss += loss * len(idx)
             correct += int((logits.argmax(axis=1) == labels[idx]).sum())
-        history.append(EpochStats(epoch, total_loss / n, correct / n))
+        stats = EpochStats(epoch, total_loss / n, correct / n)
+        history.append(stats)
         if checkpoint_dir is not None:
             path = Path(checkpoint_dir) / f"epoch_{epoch:03d}"
             save_network(net, path)
             last_good = path
+        if log_path is not None:
+            with open(log_path, "a", newline="") as fh:
+                csv.writer(fh).writerow(_log_row(stats))
+        seconds = time.perf_counter() - started
+        print(f"epoch {epoch}/{config.epochs}: loss={stats.loss:.4f} "
+              f"accuracy={stats.accuracy:.4f} {seconds:.1f}s "
+              f"{n / seconds:.1f} examples/s", file=sys.stderr, flush=True)
     return history
+
+
+def _log_row(s: EpochStats) -> list:
+    return [s.epoch, f"{s.loss:.6f}", f"{s.accuracy:.6f}"]
 
 
 def write_training_log(path, history: list[EpochStats]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "accuracy"])
-        for s in history:
-            writer.writerow([s.epoch, f"{s.loss:.6f}", f"{s.accuracy:.6f}"])
+        writer.writerows(_log_row(s) for s in history)

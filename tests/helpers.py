@@ -123,3 +123,53 @@ def pca_variance_oracle(data, k):
     cov = centered.T @ centered / centered.shape[0]
     eigvals = np.linalg.eigvalsh(cov)
     return float(np.sort(eigvals)[::-1][:k].sum())
+
+
+def loop_im2col(xpad, kernel, stride, out_h, out_w):
+    """Conv patch rows [N*out_h*out_w, kh*kw*C], columns in (i, j, c) order,
+    filled by one strided slice per kernel cell."""
+    n, _, _, c = xpad.shape
+    kh, kw = kernel
+    sh, sw = stride
+    cols = np.empty((n, out_h, out_w, kh, kw, c), dtype=xpad.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = xpad[:, i:i + sh * out_h:sh,
+                                          j:j + sw * out_w:sw, :]
+    return cols.reshape(n * out_h * out_w, kh * kw * c)
+
+
+def window_maxpool(x, kernel, stride):
+    """Same-padded max pooling through a full [N,oh,ow,kh*kw,C] window
+    tensor: (out, argmax), argmax the first maximal cell index i*kw + j."""
+    n, h, w, c = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    pt, pb, out_h = same_pad_sizes(h, kh, sh)
+    pl, pr, out_w = same_pad_sizes(w, kw, sw)
+    xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=-np.inf)
+    windows = np.empty((n, out_h, out_w, kh * kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            windows[:, :, :, i * kw + j, :] = xpad[:, i:i + sh * out_h:sh,
+                                                   j:j + sw * out_w:sw, :]
+    argmax = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out, argmax
+
+
+def batchnorm_train_formulas(x, gamma, beta, eps, grad_out):
+    """Train-mode batch norm written as plain array expressions:
+    (out, mean, var, grad_x, grad_gamma, grad_beta)."""
+    axes = tuple(range(x.ndim - 1))
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    out = gamma * xhat + beta
+    dxhat = grad_out * gamma
+    m = float(np.prod([x.shape[a] for a in axes]))
+    grad_x = (inv_std / m) * (m * dxhat - dxhat.sum(axis=axes)
+                              - xhat * (dxhat * xhat).sum(axis=axes))
+    return (out, mean, var, grad_x, (grad_out * xhat).sum(axis=axes),
+            grad_out.sum(axis=axes))

@@ -314,6 +314,16 @@ class TestPhraseGlue:
         assert b.cohort_ids == tuple(sorted(cohort["p0"]))
         assert b.cohort.shape == (9, 8)
 
+    def test_fit_backends_cohort_size_round_robin(self):
+        records = _toy_records(np.random.default_rng(34))
+        background = {p: [u for u, r in records.items() if r.phrase_id == p]
+                      for p in ("p0", "p1")}
+        full = fit_backends(records, background)
+        small = fit_backends(records, background, cohort_size=4)
+        assert small["p0"].cohort_ids == ("s0_p0_0", "s0_p0_1", "s1_p0_0", "s2_p0_0")
+        assert small["p0"].cohort.shape == (4, 8)
+        assert np.array_equal(small["p0"].wccn.matrix, full["p0"].wccn.matrix)
+
     def test_fit_backends_rejects_missing_embedding(self):
         rng = np.random.default_rng(31)
         records = _toy_records(rng)

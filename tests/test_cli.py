@@ -211,3 +211,52 @@ class TestCliContracts:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--scores", "x", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestCohortSize:
+    """`cohort_size` trims only the s-norm cohort: WCCN always sees every
+    background utterance, and the cohort is taken round-robin over speakers
+    (the sorted ids of the miniature corpus put all of one speaker first)."""
+
+    def _score(self, pipeline, out, cohort_size):
+        corpus, run = pipeline
+        cfg = out / "score.cfg"
+        out.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(f"{HEADER}\ncohort_size={cohort_size}\n")
+        return main(["--config", str(cfg), "--output-dir", str(out), "score",
+                     "--corpus", str(corpus), "--embeddings",
+                     str(run / "embeddings.tsv"),
+                     "--trials", str(corpus / "trials_dev.tsv")])
+
+    def test_one_is_rejected_at_load(self, pipeline, tmp_path, capsys):
+        assert self._score(pipeline, tmp_path, 1) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "cohort_size" in err[0]
+        assert not (tmp_path / "backend").exists()
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_small_cohort_spans_speakers(self, pipeline, tmp_path, size):
+        from tdsv.backend import load_backends
+        from tdsv.trials import read_embeddings, read_scores
+
+        _, run = pipeline
+        assert self._score(pipeline, tmp_path, size) == 0
+        records = read_embeddings(run / "embeddings.tsv")
+        small = load_backends(tmp_path / "backend")
+        full = load_backends(run / "dev" / "backend")
+        assert small.keys() == full.keys()
+        for phrase, b in small.items():
+            assert len(b.cohort_ids) == size
+            assert b.cohort_ids == tuple(sorted(b.cohort_ids))
+            speakers = [records[u].speaker_id for u in b.cohort_ids]
+            assert len(set(speakers)) == len({records[u].speaker_id
+                                              for u in full[phrase].cohort_ids})
+            assert np.array_equal(b.wccn.matrix, full[phrase].wccn.matrix)
+        assert all(np.isfinite(s) for _, s in read_scores(tmp_path / "scores.tsv"))
+
+    def test_at_least_background_count_is_all(self, pipeline, tmp_path):
+        _, run = pipeline
+        assert self._score(pipeline, tmp_path, 10_000) == 0
+        assert ((tmp_path / "scores.tsv").read_bytes()
+                == (run / "dev" / "scores.tsv").read_bytes())

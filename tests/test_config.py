@@ -25,6 +25,7 @@ class TestValidation:
         {"learning_rate": 0.0},
         {"learning_rate": -1.0},
         {"cohort_size": -1},
+        {"cohort_size": 1},
         {"fusion_l2": -0.5},
     ])
     def test_out_of_range_rejected(self, kwargs):

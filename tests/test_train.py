@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tdsv import nn
 from tdsv.errors import DimensionError, NumericalError
 from tdsv.resnet import Network, NetworkConfig, load_network
 from tdsv.train import EpochStats, TrainConfig, train, write_training_log
@@ -104,3 +105,38 @@ class TestTrainingLog:
         assert lines[0] == "epoch,loss,accuracy"
         assert lines[1] == "1,1.234568,0.500000"
         assert lines[2] == "2,0.900000,1.000000"
+
+    def test_log_written_as_epochs_finish(self, tmp_path, capsys):
+        net = Network(TINY, seed=12, dtype=np.float64)
+        x, y = _data()
+        log = tmp_path / "log.csv"
+        history = train(net, x, y, TrainConfig(epochs=2, batch_size=4,
+                                               learning_rate=1e-4, seed=0),
+                        log_path=log)
+        write_training_log(tmp_path / "whole.csv", history)
+        assert log.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        progress = capsys.readouterr().err.splitlines()
+        assert [ln.split(":")[0] for ln in progress] == ["epoch 1/2", "epoch 2/2"]
+        assert all(ln.endswith(" examples/s") for ln in progress)
+
+    def test_failure_in_epoch_two_leaves_one_row(self, tmp_path, monkeypatch):
+        import tdsv.train
+
+        calls = []
+
+        def nan_from_third_batch(logits, labels):
+            calls.append(1)
+            loss, grad = nn.softmax_cross_entropy(logits, labels)
+            return (float("nan") if len(calls) > 2 else loss), grad
+
+        monkeypatch.setattr(tdsv.train, "softmax_cross_entropy", nan_from_third_batch)
+        net = Network(TINY, seed=13, dtype=np.float64)
+        x, y = _data()  # 8 examples at batch 4: two batches per epoch
+        log = tmp_path / "log.csv"
+        with pytest.raises(NumericalError, match="epoch 2; last good checkpoint: .*epoch_001"):
+            train(net, x, y, TrainConfig(epochs=3, batch_size=4,
+                                         learning_rate=1e-4, seed=0),
+                  checkpoint_dir=tmp_path / "ckpt", log_path=log)
+        lines = log.read_text().splitlines()
+        assert lines[0] == "epoch,loss,accuracy"
+        assert len(lines) == 2 and lines[1].startswith("1,")
