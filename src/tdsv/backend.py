@@ -8,6 +8,7 @@ affects only the fitted transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,27 +73,44 @@ def transform(t: WccnTransform, e: np.ndarray) -> np.ndarray:
 def cosine_score(e1: np.ndarray, e2: np.ndarray, t: WccnTransform) -> float:
     u = transform(t, e1)
     v = transform(t, e2)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # what np.linalg.norm computes for a 1-D float64 vector, without its
+    # per-call overhead
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateError("zero-norm embedding after WCCN transform")
     return float(np.dot(u, v)) / (nu * nv)
 
 
+def _unit_rows(t: WccnTransform, e: np.ndarray) -> np.ndarray:
+    """WCCN-transformed rows of ``e`` scaled to unit length."""
+    x = transform(t, e)
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if not norms.all():
+        raise DegenerateError("zero-norm embedding after WCCN transform")
+    return x / norms[:, None]
+
+
 def cohort_scores(e: np.ndarray, cohort: np.ndarray, t: WccnTransform) -> np.ndarray:
+    """Cosine scores of each row of ``e`` against every cohort row, as one
+    product of length-normalized matrices: ``[n, n_cohort]`` for ``[n, d]``
+    segments, ``[n_cohort]`` for a single ``[d]`` segment."""
     if cohort.ndim != 2 or cohort.shape[0] < 2:
         raise InsufficientDataError("cohort needs at least 2 utterances")
-    return np.array([cosine_score(e, row, t) for row in cohort])
+    e = np.asarray(e, dtype=np.float64)
+    scores = _unit_rows(t, np.atleast_2d(e)) @ _unit_rows(t, cohort).T
+    return scores[0] if e.ndim == 1 else scores
 
 
-def cohort_stats(e: np.ndarray, cohort: np.ndarray,
-                 t: WccnTransform) -> tuple[float, float]:
+def cohort_stats(e: np.ndarray, cohort: np.ndarray, t: WccnTransform):
+    """Mean and deviation of each segment's cohort scores: two arrays for
+    ``[n, d]`` segments, two floats for a single ``[d]`` segment."""
     scores = cohort_scores(e, cohort, t)
-    mu = float(scores.mean())
-    sigma = float(scores.std())
-    if sigma == 0.0:
+    mu = scores.mean(axis=-1)
+    sigma = scores.std(axis=-1)
+    if not sigma.all():
         raise DegenerateError("degenerate cohort: zero score variance")
-    return mu, sigma
+    return (float(mu), float(sigma)) if scores.ndim == 1 else (mu, sigma)
 
 
 def apply_snorm(s: float, enroll_stats: tuple[float, float],
@@ -270,7 +288,10 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
     """Cosine scores in WCCN space, optionally s-normalized per phrase.
 
     Phrase isolation is enforced: a trial's model, test utterance, and
-    backend must all carry the trial's phrase id.
+    backend must all carry the trial's phrase id.  Every trial is checked
+    before any scoring; the s-norm statistics then take one cohort product
+    per phrase for its models and one for its test utterances, and each raw
+    score is a scalar ``cosine_score``.
     """
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
@@ -283,20 +304,11 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
         model_phrase[model] = phrases.pop()
         model_vec[model] = enroll_model_vector([r.vector for r in recs])
 
-    stats_cache: dict[tuple[str, str], tuple[float, float]] = {}
-
-    def stats(kind: str, key: str, vector: np.ndarray, backend) -> tuple[float, float]:
-        cache_key = (kind, key)
-        if cache_key not in stats_cache:
-            stats_cache[cache_key] = cohort_stats(vector, backend.cohort,
-                                                  backend.wccn)
-        return stats_cache[cache_key]
-
-    scores = []
+    # per phrase, the vectors of the models and test utterances its trials use
+    needed: dict[str, tuple[dict, dict]] = {}
     for trial in trial_list:
         if trial.phrase_id not in backends:
             raise KeyError(f"no backend fitted for phrase '{trial.phrase_id}'")
-        backend = backends[trial.phrase_id]
         if trial.enroll_id not in model_vec:
             raise KeyError(f"unknown enrollment model '{trial.enroll_id}'")
         if model_phrase[trial.enroll_id] != trial.phrase_id:
@@ -311,14 +323,27 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
             raise InsufficientDataError(
                 f"test utterance '{trial.test_id}' is phrase "
                 f"'{test.phrase_id}' but trial says '{trial.phrase_id}'")
-        raw = cosine_score(model_vec[trial.enroll_id], test.vector, backend.wccn)
-        if snorm:
-            e_stats = stats("m", trial.enroll_id, model_vec[trial.enroll_id],
-                            backend)
-            t_stats = stats("t", trial.test_id, test.vector, backend)
-            scores.append(apply_snorm(raw, e_stats, t_stats))
-        else:
-            scores.append(raw)
+        models, tests = needed.setdefault(trial.phrase_id, ({}, {}))
+        models[trial.enroll_id] = model_vec[trial.enroll_id]
+        tests[trial.test_id] = test.vector
+
+    model_stats: dict[str, tuple[float, float]] = {}
+    test_stats: dict[str, tuple[float, float]] = {}
+    if snorm:
+        for phrase, vectors_by_kind in needed.items():
+            backend = backends[phrase]
+            for vectors, out in zip(vectors_by_kind, (model_stats, test_stats)):
+                mu, sigma = cohort_stats(np.stack(list(vectors.values())),
+                                         backend.cohort, backend.wccn)
+                out.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
+
+    scores = []
+    for trial in trial_list:
+        raw = cosine_score(model_vec[trial.enroll_id],
+                           records[trial.test_id].vector,
+                           backends[trial.phrase_id].wccn)
+        scores.append(apply_snorm(raw, model_stats[trial.enroll_id],
+                                  test_stats[trial.test_id]) if snorm else raw)
     return scores
 
 
@@ -331,31 +356,28 @@ def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
         tensors[f"{phrase}.wccn_matrix"] = b.wccn.matrix
         tensors[f"{phrase}.wccn_covariance"] = b.wccn.covariance
         tensors[f"{phrase}.cohort"] = b.cohort
-    fileio.write_tensor_dir(path, "svbackend", 1, fields, tensors)
+    fileio.write_tensor_dir(path, "svbackend", 2, fields, tensors, np.float64)
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
-    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 1)
+    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 2)
     backends = {}
     for phrase in fields["phrases"].split(","):
-        wccn = WccnTransform(phrase,
-                             tensors[f"{phrase}.wccn_matrix"].astype(np.float64),
-                             tensors[f"{phrase}.wccn_covariance"].astype(np.float64))
+        wccn = WccnTransform(phrase, tensors[f"{phrase}.wccn_matrix"],
+                             tensors[f"{phrase}.wccn_covariance"])
         cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
-        backends[phrase] = PhraseBackend(
-            phrase, wccn, cohort_ids,
-            tensors[f"{phrase}.cohort"].astype(np.float64))
+        backends[phrase] = PhraseBackend(phrase, wccn, cohort_ids,
+                                         tensors[f"{phrase}.cohort"])
     return backends
 
 
 def save_fusion(path, model: FusionModel) -> None:
-    fileio.write_tensor_dir(path, "svfusion", 1,
+    fileio.write_tensor_dir(path, "svfusion", 2,
                             {"bias": repr(model.bias),
                              "num_systems": str(model.weights.size)},
-                            {"weights": model.weights})
+                            {"weights": model.weights}, np.float64)
 
 
 def load_fusion(path) -> FusionModel:
-    fields, tensors = fileio.read_tensor_dir(path, "svfusion", 1)
-    return FusionModel(tensors["weights"].astype(np.float64),
-                       float(fields["bias"]))
+    fields, tensors = fileio.read_tensor_dir(path, "svfusion", 2)
+    return FusionModel(tensors["weights"], float(fields["bias"]))

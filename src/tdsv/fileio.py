@@ -1,8 +1,10 @@
-"""Binary tensor container ("SVT1") and atomic file helpers.
+"""Binary tensor container ("SVT1"/"SVT8") and atomic file helpers.
 
-A tensor file is: magic ``SVT1``, u32 rank, u32 per-dimension extents,
-then the values as little-endian float32 in row-major order.  The same
-container holds spectrograms, network parameters, and backend matrices.
+A tensor file is: a magic naming the value type, ``SVT1`` for float32 or
+``SVT8`` for float64, u32 rank, u32 per-dimension extents, then the values
+little-endian in row-major order.  Network parameters are written as
+float32; backend matrices and fusion weights as float64, so they reload
+exactly.
 
 All writers go through a temp-file + rename so a failed command never
 leaves a partially written artifact behind.
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import TensorFormatError
 
-MAGIC = b"SVT1"
+DTYPES = {b"SVT1": np.dtype("<f4"), b"SVT8": np.dtype("<f8")}
+MAGICS = {dtype: magic for magic, dtype in DTYPES.items()}
 MAX_RANK = 8
 
 
@@ -40,18 +43,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def tensor_to_bytes(array: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+def tensor_to_bytes(array: np.ndarray, dtype=np.float32) -> bytes:
+    dtype = np.dtype(dtype)
+    if dtype not in MAGICS:
+        raise TensorFormatError(f"tensor dtype {dtype} is not float32 or float64")
+    arr = np.ascontiguousarray(array, dtype=dtype)
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise TensorFormatError(f"tensor rank {arr.ndim} outside supported range 1..{MAX_RANK}")
-    header = MAGIC + struct.pack("<I", arr.ndim)
+    header = MAGICS[dtype] + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.tobytes()
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 8 or data[:4] != MAGIC:
-        raise TensorFormatError("bad magic: not an SVT1 tensor file")
+    if len(data) < 8 or data[:4] not in DTYPES:
+        raise TensorFormatError("bad magic: not an SVT1 or SVT8 tensor file")
+    dtype = DTYPES[data[:4]]
     (rank,) = struct.unpack_from("<I", data, 4)
     if rank < 1 or rank > MAX_RANK:
         raise TensorFormatError(f"bad rank {rank}")
@@ -62,13 +69,14 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         raise TensorFormatError(f"zero extent in dims {dims}")
     count = int(np.prod(dims))
     body = data[8 + 4 * rank:]
-    if len(body) != 4 * count:
-        raise TensorFormatError(f"payload holds {len(body) // 4} floats, header promises {count}")
-    return np.frombuffer(body, dtype="<f4").reshape(dims).copy()
+    if len(body) != dtype.itemsize * count:
+        raise TensorFormatError(f"payload holds {len(body) // dtype.itemsize} "
+                                f"{dtype.name} values, header promises {count}")
+    return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
 
 
-def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    atomic_write_bytes(path, tensor_to_bytes(array))
+def write_tensor(path: str | Path, array: np.ndarray, dtype=np.float32) -> None:
+    atomic_write_bytes(path, tensor_to_bytes(array, dtype))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -111,8 +119,10 @@ def read_manifest(path: str | Path, kind: str, version: int) -> tuple[dict[str, 
 
 
 def write_tensor_dir(path: str | Path, kind: str, version: int,
-                     fields: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
-    """Directory artifact: one .svt file per named tensor plus a manifest.
+                     fields: dict[str, str], tensors: dict[str, np.ndarray],
+                     dtype=np.float32) -> None:
+    """Directory artifact: one .svt file per named tensor, each stored as
+    ``dtype``, plus a manifest.
 
     Tensor files land first and the manifest is written (atomically) last, so
     a directory with a readable manifest is complete.
@@ -122,7 +132,7 @@ def write_tensor_dir(path: str | Path, kind: str, version: int,
     index: dict[str, str] = {}
     for name in sorted(tensors):
         fname = f"{name}.svt"
-        write_tensor(root / fname, tensors[name])
+        write_tensor(root / fname, tensors[name], dtype)
         index[name] = fname
     write_manifest(root / "manifest.txt", kind, version, fields, index)
 

@@ -7,6 +7,7 @@ are the second route in every dual-route check.
 
 import numpy as np
 
+from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError
 from tdsv.metrics import DetCurve, ScoredTrials
 
@@ -115,6 +116,16 @@ def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
                for pm, pf in zip(det.p_miss, det.p_fa))
     return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
+
+
+def cohort_scores_oracle(e, cohort, t):
+    """One segment's s-norm cohort scores, one scalar cosine_score per row."""
+    return np.array([cosine_score(e, row, t) for row in cohort])
+
+
+def cohort_stats_oracle(e, cohort, t):
+    scores = cohort_scores_oracle(e, cohort, t)
+    return float(scores.mean()), float(scores.std())
 
 
 def pca_variance_oracle(data, k):

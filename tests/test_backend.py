@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pca_variance_oracle, relative_error
+from helpers import (cohort_scores_oracle, cohort_stats_oracle,
+                     pca_variance_oracle, relative_error)
+from tdsv import backend as backend_module
 from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           apply_snorm, cohort_scores, cohort_stats,
                           cosine_score, enroll_model_vector, fit_backends,
@@ -153,6 +155,61 @@ class TestSnorm:
             apply_snorm(0.5, (0.0, 0.0), (0.0, 1.0))
 
 
+class TestCohortMatrix:
+    """The one-product cohort scores and statistics against the per-row
+    scalar loop."""
+
+    @given(st.integers(0, 5000), st.integers(2, 16), st.integers(2, 40),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, seed, d, n_cohort, n):
+        rng = np.random.default_rng(seed)
+        t = wccn_from_covariance(_random_spd(rng, d))
+        cohort = rng.normal(size=(n_cohort, d))
+        segments = rng.normal(size=(n, d))
+        scores = cohort_scores(segments, cohort, t)
+        mu, sigma = cohort_stats(segments, cohort, t)
+        assert scores.shape == (n, n_cohort)
+        assert mu.shape == sigma.shape == (n,)
+        for i, e in enumerate(segments):
+            want = cohort_scores_oracle(e, cohort, t)
+            assert np.abs(scores[i] - want).max() < 1e-12
+            assert np.abs(cohort_scores(e, cohort, t) - want).max() < 1e-12
+            want_mu, want_sigma = cohort_stats_oracle(e, cohort, t)
+            assert abs(mu[i] - want_mu) < 1e-12
+            assert abs(sigma[i] - want_sigma) < 1e-12
+
+    def test_single_segment_gives_floats(self):
+        rng = np.random.default_rng(40)
+        t = wccn_from_covariance(_random_spd(rng, 5))
+        cohort = rng.normal(size=(7, 5))
+        e = rng.normal(size=5)
+        assert cohort_scores(e, cohort, t).shape == (7,)
+        mu, sigma = cohort_stats(e, cohort, t)
+        assert type(mu) is float and type(sigma) is float
+        batch_mu, batch_sigma = cohort_stats(e[None, :], cohort, t)
+        assert batch_mu.shape == (1,)
+        assert (batch_mu[0], batch_sigma[0]) == (mu, sigma)
+
+    def test_zero_norm_segment_rejected(self):
+        t = wccn_from_covariance(np.eye(2))
+        cohort = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateError):
+            cohort_stats(np.array([[1.0, 2.0], [0.0, 0.0]]), cohort, t)
+        with pytest.raises(DegenerateError):
+            cohort_stats(np.array([1.0, 2.0]),
+                         np.array([[1.0, 0.0], [0.0, 0.0]]), t)
+
+    def test_zero_variance_row_in_batch_rejected(self):
+        t = wccn_from_covariance(np.eye(2))
+        cohort = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, sigma = cohort_stats(np.array([1.0, 0.0]), cohort, t)
+        assert sigma > 0.0
+        # [1, 1] scores the same against both cohort rows
+        with pytest.raises(DegenerateError):
+            cohort_stats(np.array([[1.0, 0.0], [1.0, 1.0]]), cohort, t)
+
+
 def _two_system_scores(rng, n=400):
     """Two noisy views of the same latent separation, plus labels."""
     labels = np.arange(n) % 2 == 0
@@ -237,6 +294,15 @@ class TestFusion:
         back = load_fusion(tmp_path / "fusion")
         assert back.bias == model.bias
         assert np.allclose(back.weights, model.weights, atol=1e-7)
+
+    def test_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(13)
+        model = FusionModel(rng.normal(size=3) / 3.0, float(rng.normal()))
+        save_fusion(tmp_path / "fusion", model)
+        back = load_fusion(tmp_path / "fusion")
+        assert back.bias == model.bias
+        assert back.weights.dtype == np.float64
+        assert np.array_equal(back.weights, model.weights)
 
 
 class TestPca:
@@ -393,3 +459,66 @@ class TestPhraseGlue:
             assert r.cohort_ids == b.cohort_ids
             assert np.allclose(r.wccn.matrix, b.wccn.matrix, atol=1e-5)
             assert np.allclose(r.cohort, b.cohort, atol=1e-5)
+
+    def test_backend_round_trip_is_exact(self, scored_setup, tmp_path):
+        records, backends, enroll, trials = scored_setup
+        save_backends(tmp_path / "backend", backends)
+        restored = load_backends(tmp_path / "backend")
+        for phrase, b in backends.items():
+            r = restored[phrase]
+            assert np.array_equal(r.wccn.matrix, b.wccn.matrix)
+            assert np.array_equal(r.wccn.covariance, b.wccn.covariance)
+            assert np.array_equal(r.cohort, b.cohort)
+        assert (score_trials(trials, records, enroll, restored)
+                == score_trials(trials, records, enroll, backends))
+
+    def test_snorm_matches_scalar_reference(self):
+        records = _toy_records(np.random.default_rng(35), utts=4)
+        background = {p: sorted(u for u, r in records.items()
+                                if r.phrase_id == p) for p in ("p0", "p1")}
+        backends = fit_backends(records, background)
+        speakers = ("s0", "s1", "s2")
+        enroll = {f"{spk}-{p}": [f"{spk}_{p}_0", f"{spk}_{p}_1"]
+                  for spk in speakers for p in ("p0", "p1")}
+        trials = [Trial(f"{spk}-{p}", f"{other}_{p}_{k}", p,
+                        "tgt" if spk == other else "non")
+                  for p in ("p1", "p0") for spk in speakers
+                  for other in speakers for k in (2, 3)]
+        scores = score_trials(trials, records, enroll, backends, snorm=True)
+        assert len(scores) == len(trials) == 36
+        for trial, got in zip(trials, scores):
+            b = backends[trial.phrase_id]
+            model = enroll_model_vector([records[u].vector
+                                         for u in enroll[trial.enroll_id]])
+            test = records[trial.test_id].vector
+            want = apply_snorm(cosine_score(model, test, b.wccn),
+                               cohort_stats_oracle(model, b.cohort, b.wccn),
+                               cohort_stats_oracle(test, b.cohort, b.wccn))
+            assert abs(got - want) < 1e-12
+
+    def test_degenerate_phrase_without_trials_still_scores(self, scored_setup):
+        records, backends, enroll, trials = scored_setup
+        p1 = backends["p1"]
+        # two cohort rows along one axis of a diagonal WCCN: every segment
+        # scores them alike, so no p1 statistic exists
+        flat_cohort = np.zeros((2, 8))
+        flat_cohort[:, 0] = (1.0, 2.0)
+        broken = {**backends, "p1": PhraseBackend(
+            "p1", wccn_from_covariance(np.zeros((8, 8)), "p1"),
+            p1.cohort_ids[:2], flat_cohort)}
+        with pytest.raises(DegenerateError):
+            score_trials([Trial("s0-p1", "s0_p1_2", "p1", "tgt")], records,
+                         {"s0-p1": ["s0_p1_0"]}, broken)
+        assert (score_trials(trials, records, enroll, broken)
+                == score_trials(trials, records, enroll, backends))
+
+    def test_bad_trial_fails_before_any_statistics(self, scored_setup,
+                                                   monkeypatch):
+        records, backends, enroll, trials = scored_setup
+        calls = []
+        monkeypatch.setattr(backend_module, "cohort_stats",
+                            lambda *args: calls.append(args))
+        with pytest.raises(KeyError, match="test utterance"):
+            score_trials(trials + [Trial("s0-p0", "ghost", "p0", "tgt")],
+                         records, enroll, backends)
+        assert calls == []

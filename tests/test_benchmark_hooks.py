@@ -2,19 +2,22 @@
 
 Its self-check patches broken kernels in to prove its output checks catch
 them, and its tracer times layers through their public methods.  Those
-patches rely on three shapes that nothing else in the program pins:
+patches and counts rely on shapes that nothing else in the program pins:
 
 - ``Conv2D.backward`` is called as ``backward(self, grad_out)``;
 - ``MaxPool._cache[0]`` holds each window's winning cell index ``i*kw + j``;
-- ``BatchNorm._cache`` is a 4-tuple whose last entry is the train flag.
+- ``BatchNorm._cache`` is a 4-tuple whose last entry is the train flag;
+- ``score_trials`` calls the module-level ``backend.cosine_score`` once per
+  trial and ``backend.cohort_stats`` at most twice per phrase.
 """
 
 import inspect
 
 import numpy as np
 
-from tdsv import nn
+from tdsv import backend, nn
 from tdsv.resnet import Network, NetworkConfig
+from tdsv.trials import EmbeddingRecord, Trial
 
 CONFIG = NetworkConfig(input_height=9, input_width=11, stem_channels=2,
                        block_channels=(2, 4), block_strides=(1, 2), num_speakers=2)
@@ -74,3 +77,38 @@ def test_batchnorm_cache_ends_in_train_flag():
     train_grad = bn.backward(g)
     bn._cache = bn._cache[:3] + (False,)
     assert not np.allclose(bn.backward(g), train_grad)
+
+
+def test_score_trials_call_counts(monkeypatch):
+    rng = np.random.default_rng(3)
+    records = {}
+    for phrase in ("p0", "p1"):
+        for spk in range(4):
+            for take in range(4):
+                utt = f"s{spk}_{phrase}_{take}"
+                records[utt] = EmbeddingRecord(utt, f"s{spk}", phrase,
+                                               rng.normal(size=6))
+    background = {p: [u for u, r in records.items() if r.phrase_id == p
+                      and r.speaker_id in ("s0", "s1")] for p in ("p0", "p1")}
+    backends = backend.fit_backends(records, background)
+    enroll = {f"s{spk}-{p}": [f"s{spk}_{p}_0", f"s{spk}_{p}_1"]
+              for spk in (2, 3) for p in ("p0", "p1")}
+    trials = [Trial(f"s{spk}-{p}", f"s{other}_{p}_{take}", p, "unk")
+              for p in ("p0", "p1") for spk in (2, 3) for other in (2, 3)
+              for take in (2, 3)]
+    calls = {"cosine_score": 0, "cohort_stats": 0}
+
+    def counted(name):
+        orig = getattr(backend, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(backend, name, counted(name))
+    scores = backend.score_trials(trials, records, enroll, backends)
+    assert len(scores) == len(trials) == 16
+    assert calls["cosine_score"] == 16
+    assert 1 <= calls["cohort_stats"] <= 2 * 2

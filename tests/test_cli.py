@@ -94,6 +94,17 @@ class TestPipelineArtifacts:
         # eval scoring reused --backend, so it wrote no backend of its own
         assert not (run / "eval" / "backend").exists()
 
+    def test_reused_backend_scores_like_fresh_fit(self, pipeline, tmp_path):
+        corpus, run = pipeline
+        assert main(["--config", str(run.parent / "run.cfg"),
+                     "--output-dir", str(tmp_path), "score",
+                     "--corpus", str(corpus),
+                     "--embeddings", str(run / "embeddings.tsv"),
+                     "--trials", str(corpus / "trials_dev.tsv"),
+                     "--backend", str(run / "dev" / "backend")]) == 0
+        assert ((tmp_path / "scores.tsv").read_bytes()
+                == (run / "dev" / "scores.tsv").read_bytes())
+
     def test_eval_reports(self, pipeline):
         _, run = pipeline
         summary = dict(ln.split("=", 1) for ln in

@@ -36,6 +36,35 @@ def test_tensor_bytes_round_trip(arr):
                           arr)
 
 
+def test_float64_container_layout():
+    arr = np.array([[0.1, -1e-300, 1e300]])
+    data = fileio.tensor_to_bytes(arr, np.float64)
+    assert data[:4] == b"SVT8"
+    assert data[4:16] == fileio.tensor_to_bytes(np.zeros((1, 3)))[4:16]
+    assert len(data) == 16 + 3 * 8
+    back = fileio.tensor_from_bytes(data)
+    assert back.dtype == np.float64 and np.array_equal(back, arr)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=6),
+              elements=st.floats(allow_nan=False)))
+@settings(max_examples=50)
+def test_float64_bytes_round_trip(arr):
+    back = fileio.tensor_from_bytes(fileio.tensor_to_bytes(arr, np.float64))
+    assert back.dtype == np.float64 and np.array_equal(back, arr)
+
+
+def test_float32_is_the_default():
+    arr = np.array([0.1, 0.2])
+    assert (fileio.tensor_to_bytes(arr)
+            == fileio.tensor_to_bytes(arr.astype(np.float32), np.float32))
+
+
+def test_other_dtypes_rejected():
+    with pytest.raises(TensorFormatError):
+        fileio.tensor_to_bytes(np.ones(2), np.int32)
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: b"XXXX" + d[4:],          # wrong magic
     lambda d: d[:-2],                   # truncated payload
@@ -46,6 +75,14 @@ def test_tensor_rejects_malformed(mangle):
     data = fileio.tensor_to_bytes(np.ones((2, 2), dtype=np.float32))
     with pytest.raises(TensorFormatError):
         fileio.tensor_from_bytes(mangle(data))
+
+
+def test_payload_must_match_the_magic():
+    f4 = fileio.tensor_to_bytes(np.ones((2, 2)))
+    f8 = fileio.tensor_to_bytes(np.ones((2, 2)), np.float64)
+    for data in (b"SVT8" + f4[4:], b"SVT1" + f8[4:]):
+        with pytest.raises(TensorFormatError, match="header promises 4"):
+            fileio.tensor_from_bytes(data)
 
 
 def test_atomic_write_replaces_not_appends(tmp_path):
@@ -84,6 +121,15 @@ def test_tensor_dir_round_trip(tmp_path):
     assert fields == {"phrases": "p0"}
     assert set(back) == {"x", "y.z"}
     assert np.array_equal(back["y.z"], tensors["y.z"])
+
+
+def test_tensor_dir_float64_round_trip(tmp_path):
+    tensors = {"w": np.array([1.0 / 3.0, -2.0 / 7.0])}
+    fileio.write_tensor_dir(tmp_path / "art", "svfusion", 2, {}, tensors,
+                            np.float64)
+    assert (tmp_path / "art" / "w.svt").read_bytes()[:4] == b"SVT8"
+    _, back = fileio.read_tensor_dir(tmp_path / "art", "svfusion", 2)
+    assert np.array_equal(back["w"], tensors["w"])
 
 
 def test_missing_manifest_names_the_file(tmp_path):
