@@ -5,10 +5,12 @@ Synthesizes a corpus, trains the desk embedder on the background split,
 extracts embeddings, scores the dev and eval trial lists with the
 WCCN/cosine/s-norm backend, and prints both operating summaries.  Every
 stage goes through the command-line entry points, so the artifacts under
---workdir are exactly what the CLI documents.
+--workdir are exactly what the CLI documents.  It ends with the sha256 (first
+12 hex digits) of each golden file, so two runs can be compared at a glance.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -76,6 +78,12 @@ def main():
     for split in ("dev", "eval"):
         print(f"\n{split} summary ({run_dir / split / 'summary.txt'}):")
         print((run_dir / split / "summary.txt").read_text(), end="")
+
+    print("\ndigests (sha256, first 12 hex digits):")
+    for name in ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
+                 "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt"):
+        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        print(f"  {digest[:12]}  {name}")
 
 
 if __name__ == "__main__":

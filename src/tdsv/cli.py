@@ -5,7 +5,8 @@
 Commands: synth, train, embed, score, eval, fuse, project.  Each command
 reads only documented artifacts, writes only into --output-dir (atomically:
 temp file + rename), and exits nonzero with a one-line ``error: ...`` message
-on failure.
+on failure.  With ``TDSV_TRACEBACK=1`` in the environment the full traceback
+follows that line on stderr; the exit status is the same.
 
 Heavy imports happen after argument parsing so --threads can pin the BLAS
 thread pools via environment variables before numpy loads.  An in-process
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 _GLOBAL_FLAGS = (
@@ -333,6 +335,8 @@ def main(argv=None) -> int:
     except (TdsvError, OSError, KeyError, ValueError) as exc:
         message = str(exc).strip().replace("\n", " ") or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
+        if os.environ.get("TDSV_TRACEBACK") == "1":
+            traceback.print_exc(file=sys.stderr)
         return 2
 
 

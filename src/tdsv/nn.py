@@ -56,12 +56,12 @@ class Conv2D:
         self.in_channels = in_channels
         self.out_channels = out_channels
         if rng is None:
-            weight = np.zeros((out_channels, in_channels, kh, kw))
+            weight = np.zeros((out_channels, in_channels, kh, kw), dtype)
         else:
             fan_in = in_channels * kh * kw
             weight = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                                 size=(out_channels, in_channels, kh, kw))
-        self.weight = weight.astype(dtype)
+        self.weight = weight.astype(dtype, copy=False)
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
@@ -306,11 +306,11 @@ class Dense:
 
     def __init__(self, in_features, out_features, *, rng=None, dtype=np.float32):
         if rng is None:
-            weight = np.zeros((in_features, out_features))
+            weight = np.zeros((in_features, out_features), dtype)
         else:
             weight = rng.normal(0.0, np.sqrt(2.0 / in_features),
                                 size=(in_features, out_features))
-        self.weight = weight.astype(dtype)
+        self.weight = weight.astype(dtype, copy=False)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)

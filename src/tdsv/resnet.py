@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .errors import DegenerateError, DimensionError
+from .errors import DegenerateError, DimensionError, TensorFormatError
 from .nn import BatchNorm, Conv2D, Dense, GlobalAvgPool, MaxPool, ReLU
 
 
@@ -104,11 +104,16 @@ class ResidualBlock:
 
 
 class Network:
-    """Stem, residual blocks, global average pool, dense head."""
+    """Stem, residual blocks, global average pool, dense head.
 
-    def __init__(self, config: NetworkConfig, seed: int = 0, dtype=np.float32):
+    ``seed=None`` draws no random numbers: conv and dense weights start at
+    zero, a skeleton for ``load_network`` to fill.
+    """
+
+    def __init__(self, config: NetworkConfig, seed: int | None = 0,
+                 dtype=np.float32):
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.stem_conv = Conv2D(1, config.stem_channels, 7, 2, rng=rng, dtype=dtype)
         self.stem_relu = ReLU()
         self.stem_pool = MaxPool(3, 2)
@@ -198,7 +203,12 @@ def count_parameters(net: Network) -> tuple[list[tuple[str, int]], int]:
 
 
 def extract_embedding(net: Network, x: np.ndarray) -> np.ndarray:
-    """Pooled feature vector for one utterance, inference-mode BN."""
+    """Pooled feature vector for one utterance, inference-mode BN.
+
+    The input is cast to the network's parameter dtype, so a float32 net
+    runs its forward pass in float32 whatever the input's dtype.
+    """
+    x = x.astype(net.stem_conv.weight.dtype, copy=False)
     if x.ndim == 2:
         x = x[None, :, :, None]
     elif x.ndim == 3:
@@ -213,15 +223,21 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def save_network(net: Network, path) -> None:
-    """Checkpoint directory: manifest + one tensor file per parameter and
-    BN running statistic."""
-    c = net.config
-    tensors: dict[str, np.ndarray] = dict(net.named_parameters())
+def _checkpoint_tensors(net: Network) -> dict[str, np.ndarray]:
+    """The network's own arrays that a checkpoint holds: every parameter and
+    BN running statistic, by name."""
+    tensors = net.named_parameters()
     for prefix, layer in net.layers():
         if isinstance(layer, BatchNorm):
             tensors[f"{prefix}.running_mean"] = layer.running_mean
             tensors[f"{prefix}.running_var"] = layer.running_var
+    return tensors
+
+
+def save_network(net: Network, path) -> None:
+    """Checkpoint directory: manifest + one tensor file per parameter and
+    BN running statistic."""
+    c = net.config
     fields = {
         "input_height": str(c.input_height),
         "input_width": str(c.input_width),
@@ -231,33 +247,37 @@ def save_network(net: Network, path) -> None:
         "num_speakers": str(c.num_speakers),
         "bn_initialized": "1" if all(b.initialized for b in net.batchnorms()) else "0",
     }
-    fileio.write_tensor_dir(path, "svnet", 1, fields, tensors)
+    fileio.write_tensor_dir(path, "svnet", 1, fields, _checkpoint_tensors(net))
 
 
 def load_network(path) -> Network:
+    """Rebuild a saved network.  The skeleton draws no random numbers; every
+    tensor it holds must be in the checkpoint with its exact shape."""
     fields, tensors = fileio.read_tensor_dir(path, "svnet", 1)
-    config = NetworkConfig(
-        input_height=int(fields["input_height"]),
-        input_width=int(fields["input_width"]),
-        stem_channels=int(fields["stem_channels"]),
-        block_channels=tuple(int(v) for v in fields["block_channels"].split(",")),
-        block_strides=tuple(int(v) for v in fields["block_strides"].split(",")),
-        num_speakers=int(fields["num_speakers"]),
-    )
-    net = Network(config, seed=0)
-    params = net.named_parameters()
-    for name, arr in params.items():
+    try:
+        config = NetworkConfig(
+            input_height=int(fields["input_height"]),
+            input_width=int(fields["input_width"]),
+            stem_channels=int(fields["stem_channels"]),
+            block_channels=tuple(int(v) for v in fields["block_channels"].split(",")),
+            block_strides=tuple(int(v) for v in fields["block_strides"].split(",")),
+            num_speakers=int(fields["num_speakers"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise TensorFormatError(
+            f"checkpoint {path} has a missing or bad field: {exc}") from None
+    net = Network(config, seed=None)
+    initialized = fields.get("bn_initialized") == "1"
+    for bn in net.batchnorms():
+        bn.initialized = initialized
+    for name, arr in _checkpoint_tensors(net).items():
         if name not in tensors:
-            raise KeyError(f"checkpoint missing tensor '{name}'")
+            raise TensorFormatError(
+                f"checkpoint {path} has no tensor '{name}' (expected shape "
+                f"{arr.shape})")
         if tensors[name].shape != arr.shape:
-            raise DimensionError(
-                f"tensor '{name}' has shape {tensors[name].shape}, "
+            raise TensorFormatError(
+                f"checkpoint tensor '{name}' has shape {tensors[name].shape}, "
                 f"expected {arr.shape}")
         arr[...] = tensors[name]
-    initialized = fields.get("bn_initialized") == "1"
-    for prefix, layer in net.layers():
-        if isinstance(layer, BatchNorm):
-            layer.running_mean[...] = tensors[f"{prefix}.running_mean"]
-            layer.running_var[...] = tensors[f"{prefix}.running_var"]
-            layer.initialized = initialized
     return net

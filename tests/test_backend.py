@@ -1,5 +1,8 @@
 """Scoring backend: WCCN algebra, cosine, s-norm, fusion, PCA, phrase glue."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -522,3 +525,51 @@ class TestPhraseGlue:
             score_trials(trials + [Trial("s0-p0", "ghost", "p0", "tgt")],
                          records, enroll, backends)
         assert calls == []
+
+
+class TestArtifactRoundTripProperties:
+    """Saving and reloading a fitted backend or fusion model gives back the
+    same bytes, whatever the dimension, cohort and ids."""
+
+    @given(st.integers(0, 5000), st.integers(2, 16), st.integers(1, 3),
+           st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_backends(self, seed, d, n_phrases, cohort_size):
+        rng = np.random.default_rng(seed)
+        records, background = {}, {}
+        for p in range(n_phrases):
+            phrase = f"p{p}"
+            for s in range(int(rng.integers(2, 5))):
+                for _ in range(int(rng.integers(1, 4))):
+                    uid = f"u{rng.integers(10**9):09d}_{len(records)}"
+                    records[uid] = EmbeddingRecord(uid, f"s{s}", phrase,
+                                                   rng.normal(size=d))
+                    background.setdefault(phrase, []).append(uid)
+        backends = fit_backends(records, background, cohort_size)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_backends(Path(tmp) / "backend", backends)
+            restored = load_backends(Path(tmp) / "backend")
+        assert sorted(restored) == sorted(backends)
+        for phrase, b in backends.items():
+            r = restored[phrase]
+            assert r.phrase_id == phrase and r.wccn.phrase_id == phrase
+            assert r.cohort_ids == b.cohort_ids
+            for got, want in ((r.wccn.matrix, b.wccn.matrix),
+                              (r.wccn.covariance, b.wccn.covariance),
+                              (r.cohort, b.cohort)):
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=6),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=60, deadline=None)
+    def test_fusion(self, weights, bias):
+        model = FusionModel(np.array(weights, dtype=np.float64), bias)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_fusion(Path(tmp) / "fusion", model)
+            back = load_fusion(Path(tmp) / "fusion")
+        assert back.weights.dtype == np.float64
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert np.float64(back.bias).tobytes() == np.float64(bias).tobytes()

@@ -7,6 +7,7 @@ and exit codes.  Error cases call main() directly and check the one-line
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,36 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_traceback_switch(self, tmp_path, capsys, monkeypatch):
+        argv = ["--output-dir", str(tmp_path), "eval",
+                "--scores", str(tmp_path / "absent.tsv")]
+        monkeypatch.delenv("TDSV_TRACEBACK", raising=False)
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        monkeypatch.setenv("TDSV_TRACEBACK", "1")
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("error: ") and "absent.tsv" in lines[0]
+        assert lines[1] == "Traceback (most recent call last):"
+        assert lines[-1].startswith("FileNotFoundError: ")
+
+    def test_embed_truncated_checkpoint(self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(run / "model", model)
+        manifest = model / "manifest.txt"
+        manifest.write_text("".join(
+            ln for ln in manifest.read_text().splitlines(keepends=True)
+            if "block2.bn1.running_var" not in ln))
+        rc = main(["--output-dir", str(tmp_path / "out"), "embed",
+                   "--corpus", str(corpus), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "no tensor 'block2.bn1.running_var'" in err
+        assert not (tmp_path / "out" / "embeddings.tsv").exists()
 
     def test_unlabeled_scores_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"

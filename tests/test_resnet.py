@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import numeric_gradient, relative_error
-from tdsv import nn
-from tdsv.errors import DegenerateError, DimensionError, UninitializedStatsError
+from tdsv import fileio, nn
+from tdsv.errors import (DegenerateError, DimensionError, TensorFormatError,
+                         UninitializedStatsError)
 from tdsv.resnet import (NetworkConfig, Network, PRESETS, build_network,
                          count_parameters, extract_embedding, length_normalize,
                          load_network, save_network)
@@ -19,6 +20,19 @@ TINY = NetworkConfig(input_height=17, input_width=20, stem_channels=2,
 
 def _tiny_net(seed=0, dtype=np.float64):
     return Network(TINY, seed=seed, dtype=dtype)
+
+
+def _recast(net, dtype):
+    """The same network with every parameter and BN statistic cast to dtype."""
+    twin = Network(net.config, seed=None, dtype=dtype)
+    params = twin.named_parameters()
+    for name, p in net.named_parameters().items():
+        params[name][...] = p
+    for src, dst in zip(net.batchnorms(), twin.batchnorms()):
+        dst.running_mean[...] = src.running_mean
+        dst.running_var[...] = src.running_var
+        dst.initialized = src.initialized
+    return twin
 
 
 def _tiny_batch(seed=0, n=2):
@@ -197,6 +211,33 @@ class TestEmbedding:
                                 np.zeros((TINY.input_height, TINY.input_width)))
         assert np.all(np.isfinite(emb))
 
+    def test_float32_net_runs_float64_input_at_float32(self, trained_tiny):
+        net = _recast(trained_tiny, np.float32)
+        x = np.random.default_rng(3).normal(size=(TINY.input_height,
+                                                  TINY.input_width))
+        emb = extract_embedding(net, x)
+        assert emb.dtype == np.float32
+        assert emb.tobytes() == extract_embedding(
+            net, x.astype(np.float32)).tobytes()
+
+    def test_float64_net_unchanged(self, trained_tiny):
+        x = np.random.default_rng(4).normal(size=(TINY.input_height,
+                                                  TINY.input_width))
+        emb = extract_embedding(trained_tiny, x)
+        assert emb.dtype == np.float64
+        want = trained_tiny.features(x[None, :, :, None], train=False)[0]
+        assert emb.tobytes() == want.tobytes()
+
+    def test_float32_agrees_with_float64(self, trained_tiny):
+        net32 = _recast(trained_tiny, np.float32)
+        net64 = _recast(net32, np.float64)  # the same float32-rounded weights
+        for seed in range(5):
+            x = np.random.default_rng(seed).normal(
+                size=(TINY.input_height, TINY.input_width))
+            want = extract_embedding(net64, x)
+            diff = extract_embedding(net32, x).astype(np.float64) - want
+            assert np.linalg.norm(diff) < 1e-5 * np.linalg.norm(want)
+
 
 class TestLengthNormalize:
     def test_three_four_five(self):
@@ -239,6 +280,39 @@ class TestCheckpoint:
         assert np.array_equal(back.forward(probe, train=False),
                               net.forward(probe, train=False))
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = _tiny_net(seed=25, dtype=np.float32)
+        x, _ = _tiny_batch(seed=26, n=4)
+        net.forward(x.astype(np.float32), train=True)
+        save_network(net, tmp_path / "model")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_network drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        back = load_network(tmp_path / "model")
+        monkeypatch.undo()
+
+        for name, p in net.named_parameters().items():
+            got = back.named_parameters()[name]
+            assert got.dtype == p.dtype and got.tobytes() == p.tobytes(), name
+        for src, dst in zip(net.batchnorms(), back.batchnorms()):
+            assert dst.running_mean.tobytes() == src.running_mean.tobytes()
+            assert dst.running_var.tobytes() == src.running_var.tobytes()
+            assert dst.initialized
+        probe = np.random.default_rng(27).normal(
+            size=(1, TINY.input_height, TINY.input_width, 1)).astype(np.float32)
+        assert (back.forward(probe, train=False).tobytes()
+                == net.forward(probe, train=False).tobytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seedless_network_is_zero(self, dtype):
+        net = Network(TINY, seed=None, dtype=dtype)
+        for name, p in net.named_parameters().items():
+            assert p.dtype == dtype, name
+            # batch-norm gains start at one, everything else at zero
+            assert np.all(p == (1.0 if name.endswith(".gamma") else 0.0)), name
+
     def test_untrained_flag_survives(self, tmp_path):
         net = _tiny_net(seed=24)
         save_network(net, tmp_path / "model")
@@ -246,3 +320,52 @@ class TestCheckpoint:
         with pytest.raises(UninitializedStatsError):
             back.forward(np.zeros((1, TINY.input_height, TINY.input_width, 1)),
                          train=False)
+
+
+class TestCheckpointErrors:
+    """A checkpoint that lacks a tensor, or holds one of the wrong shape,
+    fails with a TensorFormatError naming the tensor and both shapes."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        net = _tiny_net(seed=28, dtype=np.float32)
+        net.forward(_tiny_batch(seed=29, n=4)[0].astype(np.float32), train=True)
+        save_network(net, tmp_path / "model")
+        return tmp_path / "model"
+
+    @staticmethod
+    def _rewrite(model, drop=None, replace_with=None):
+        fields, tensors = fileio.read_tensor_dir(model, "svnet", 1)
+        if drop is not None:
+            del tensors[drop]
+        tensors.update(replace_with or {})
+        for f in model.iterdir():
+            f.unlink()
+        fileio.write_tensor_dir(model, "svnet", 1, fields, tensors)
+
+    @pytest.mark.parametrize("name", ["stem.conv.weight",
+                                      "block1.bn1.running_mean",
+                                      "block3.proj_bn.running_var"])
+    def test_missing_tensor(self, saved, name):
+        self._rewrite(saved, drop=name)
+        with pytest.raises(TensorFormatError, match=f"no tensor '{name}'"):
+            load_network(saved)
+
+    @pytest.mark.parametrize("name,shape,want", [
+        ("head.weight", (4, 2), (4, 3)),
+        ("block2.bn2.running_mean", (3,), (2,)),
+        ("block1.bn1.running_var", (1,), (2,)),  # would broadcast silently
+    ])
+    def test_misshaped_tensor(self, saved, name, shape, want):
+        self._rewrite(saved, replace_with={name: np.ones(shape)})
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert f"'{name}' has shape {shape}, expected {want}" in str(exc.value)
+
+    def test_missing_field(self, saved):
+        manifest = saved / "manifest.txt"
+        manifest.write_text("".join(
+            ln for ln in manifest.read_text().splitlines(keepends=True)
+            if not ln.startswith("stem_channels=")))
+        with pytest.raises(TensorFormatError, match="stem_channels"):
+            load_network(saved)
