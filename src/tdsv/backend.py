@@ -15,7 +15,8 @@ import numpy as np
 
 from . import fileio
 from .errors import (DegenerateError, DimensionError, InsufficientDataError,
-                     IterationLimitError, RankDeficiencyError)
+                     IterationLimitError, RankDeficiencyError,
+                     TensorFormatError)
 from .resnet import length_normalize
 
 
@@ -70,16 +71,19 @@ def transform(t: WccnTransform, e: np.ndarray) -> np.ndarray:
     return np.asarray(e, dtype=np.float64) @ t.matrix
 
 
-def cosine_score(e1: np.ndarray, e2: np.ndarray, t: WccnTransform) -> float:
-    u = transform(t, e1)
-    v = transform(t, e2)
+def cosine_score(e1: np.ndarray, e2: np.ndarray,
+                 t: WccnTransform | None = None) -> float:
+    """Cosine similarity of ``e1`` and ``e2`` in the WCCN space of ``t``;
+    with ``t=None`` both vectors are taken as already transformed."""
+    u = e1 if t is None else transform(t, e1)
+    v = e2 if t is None else transform(t, e2)
     # what np.linalg.norm computes for a 1-D float64 vector, without its
     # per-call overhead
     nu = math.sqrt(u.dot(u))
     nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateError("zero-norm embedding after WCCN transform")
-    return float(np.dot(u, v)) / (nu * nv)
+    return float(u.dot(v)) / (nu * nv)
 
 
 def _unit_rows(t: WccnTransform, e: np.ndarray) -> np.ndarray:
@@ -289,9 +293,11 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
 
     Phrase isolation is enforced: a trial's model, test utterance, and
     backend must all carry the trial's phrase id.  Every trial is checked
-    before any scoring; the s-norm statistics then take one cohort product
-    per phrase for its models and one for its test utterances, and each raw
-    score is a scalar ``cosine_score``.
+    before any scoring.  Each distinct model and test vector is then
+    transformed into its phrase's WCCN space once; the s-norm statistics take
+    one cohort product per phrase for its models and one for its test
+    utterances, and each raw score is a scalar ``cosine_score`` of two
+    transformed vectors.
     """
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
@@ -327,24 +333,30 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
         models[trial.enroll_id] = model_vec[trial.enroll_id]
         tests[trial.test_id] = test.vector
 
+    # a model or test utterance carries one phrase, so its id alone keys it.
+    # One matvec per vector, as cosine_score(e1, e2, t) does: a stacked
+    # product could round differently.
+    model_wccn: dict[str, np.ndarray] = {}
+    test_wccn: dict[str, np.ndarray] = {}
     model_stats: dict[str, tuple[float, float]] = {}
     test_stats: dict[str, tuple[float, float]] = {}
-    if snorm:
-        for phrase, vectors_by_kind in needed.items():
-            backend = backends[phrase]
-            for vectors, out in zip(vectors_by_kind, (model_stats, test_stats)):
+    for phrase, vectors_by_kind in needed.items():
+        backend = backends[phrase]
+        for vectors, moved, stats in zip(vectors_by_kind, (model_wccn, test_wccn),
+                                         (model_stats, test_stats)):
+            moved.update((k, transform(backend.wccn, v))
+                         for k, v in vectors.items())
+            if snorm:
                 mu, sigma = cohort_stats(np.stack(list(vectors.values())),
                                          backend.cohort, backend.wccn)
-                out.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
+                stats.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
 
-    scores = []
-    for trial in trial_list:
-        raw = cosine_score(model_vec[trial.enroll_id],
-                           records[trial.test_id].vector,
-                           backends[trial.phrase_id].wccn)
-        scores.append(apply_snorm(raw, model_stats[trial.enroll_id],
-                                  test_stats[trial.test_id]) if snorm else raw)
-    return scores
+    raw = [cosine_score(model_wccn[t.enroll_id], test_wccn[t.test_id])
+           for t in trial_list]
+    if not snorm:
+        return raw
+    return [apply_snorm(s, model_stats[t.enroll_id], test_stats[t.test_id])
+            for t, s in zip(trial_list, raw)]
 
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
@@ -360,14 +372,27 @@ def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
+    """Rebuild saved backends; a missing or mis-shaped field or tensor is a
+    TensorFormatError."""
     fields, tensors = fileio.read_tensor_dir(path, "svbackend", 2)
     backends = {}
-    for phrase in fields["phrases"].split(","):
-        wccn = WccnTransform(phrase, tensors[f"{phrase}.wccn_matrix"],
-                             tensors[f"{phrase}.wccn_covariance"])
-        cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
-        backends[phrase] = PhraseBackend(phrase, wccn, cohort_ids,
-                                         tensors[f"{phrase}.cohort"])
+    try:
+        for phrase in fields["phrases"].split(","):
+            wccn = WccnTransform(phrase, tensors[f"{phrase}.wccn_matrix"],
+                                 tensors[f"{phrase}.wccn_covariance"])
+            cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
+            cohort = tensors[f"{phrase}.cohort"]
+            d = wccn.matrix.shape[0]
+            if (wccn.matrix.shape != (d, d) or wccn.covariance.shape != (d, d)
+                    or cohort.shape != (len(cohort_ids), d)):
+                raise TensorFormatError(
+                    f"backend {path} phrase '{phrase}' has shapes "
+                    f"{wccn.matrix.shape}, {wccn.covariance.shape} and "
+                    f"{cohort.shape} for {len(cohort_ids)} cohort ids")
+            backends[phrase] = PhraseBackend(phrase, wccn, cohort_ids, cohort)
+    except KeyError as exc:
+        raise TensorFormatError(
+            f"backend {path} has no field or tensor {exc}") from None
     return backends
 
 
@@ -380,4 +405,15 @@ def save_fusion(path, model: FusionModel) -> None:
 
 def load_fusion(path) -> FusionModel:
     fields, tensors = fileio.read_tensor_dir(path, "svfusion", 2)
-    return FusionModel(tensors["weights"], float(fields["bias"]))
+    try:
+        weights = tensors["weights"]
+        bias = float(fields["bias"])
+        num_systems = int(fields["num_systems"])
+    except (KeyError, ValueError) as exc:
+        raise TensorFormatError(
+            f"fusion model {path} has a missing or bad entry: {exc}") from None
+    if weights.shape != (num_systems,):
+        raise TensorFormatError(
+            f"fusion model {path} has weights of shape {weights.shape} "
+            f"for {num_systems} systems")
+    return FusionModel(weights, bias)

@@ -69,15 +69,15 @@ def compute_det(trials: ScoredTrials) -> DetCurve:
 def _eer_from_points(p_miss, p_fa) -> float:
     # First index where the miss curve meets or passes the false-alarm
     # curve; linear interpolation from the previous point.
-    for i in range(len(p_miss)):
-        d = p_miss[i] - p_fa[i]
-        if d >= 0.0:
-            if i == 0 or d == 0.0:
-                return float(p_miss[i])
-            d_prev = p_miss[i - 1] - p_fa[i - 1]
-            t = d_prev / (d_prev - d)
-            return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
-    raise NumericalError("miss and false-alarm curves never cross")
+    d = p_miss - p_fa
+    crossed = d >= 0.0
+    if not crossed.any():
+        raise NumericalError("miss and false-alarm curves never cross")
+    i = int(crossed.argmax())
+    if i == 0 or d[i] == 0.0:
+        return float(p_miss[i])
+    t = d[i - 1] / (d[i - 1] - d[i])
+    return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
 def compute_eer(trials: ScoredTrials) -> float:
@@ -123,10 +123,9 @@ def det_csv_lines(det: DetCurve) -> list[str]:
 def det_probit_csv_lines(det: DetCurve) -> list[str]:
     """Probit-warped coordinates; endpoint rates 0 and 1 map to infinities,
     which plotting code is expected to drop."""
-    lines = ["probit_p_fa,probit_p_miss"]
-    for pm, pf in zip(det.p_miss, det.p_fa):
-        lines.append(f"{float(ndtri(pf))!r},{float(ndtri(pm))!r}")
-    return lines
+    return ["probit_p_fa,probit_p_miss"] + [
+        f"{pf!r},{pm!r}" for pf, pm in zip(ndtri(det.p_fa).tolist(),
+                                           ndtri(det.p_miss).tolist())]
 
 
 def summary_lines(trials: ScoredTrials, p_tar: float = 1e-3) -> list[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,20 +26,29 @@ from .fileio import atomic_write_text
 LABELS = ("tgt", "non", "unk")
 
 
-@dataclass(frozen=True)
-class Trial:
+class _TrialFields(NamedTuple):
     enroll_id: str
     test_id: str
     phrase_id: str
     label: str  # tgt | non | unk
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise TrialFormatError(f"unknown trial label '{self.label}'")
+
+class Trial(_TrialFields):
+    """One trial line: an immutable, hashable 4-tuple whose label is checked
+    on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, enroll_id: str, test_id: str, phrase_id: str, label: str):
+        if label not in LABELS:
+            raise TrialFormatError(f"unknown trial label '{label}'")
+        # tuple.__new__ directly: the generated NamedTuple __new__ would add
+        # a second Python-level call to every row a reader builds
+        return tuple.__new__(cls, (enroll_id, test_id, phrase_id, label))
 
     @property
     def key(self) -> tuple[str, str, str]:
-        return (self.enroll_id, self.test_id, self.phrase_id)
+        return self[:3]
 
 
 @dataclass(frozen=True)
@@ -58,9 +68,10 @@ class EmbeddingRecord:
     vector: np.ndarray
 
 
-def _read_rows(path, expected_fields: int) -> list[list[str]]:
+def _read_rows(path, expected_fields: int) -> Iterator[list[str]]:
+    """Yield the tab-separated fields of each nonblank line, one line at a
+    time, so a reader holds no table of rows besides what it builds."""
     text = Path(path).read_text(encoding="utf-8")
-    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -69,8 +80,7 @@ def _read_rows(path, expected_fields: int) -> list[list[str]]:
             raise TrialFormatError(
                 f"{path}:{lineno}: expected {expected_fields} fields, "
                 f"got {len(fields)}")
-        rows.append(fields)
-    return rows
+        yield fields
 
 
 def read_trials(path) -> list[Trial]:
@@ -78,9 +88,10 @@ def read_trials(path) -> list[Trial]:
     seen = set()
     for fields in _read_rows(path, 4):
         trial = Trial(*fields)
-        if trial.key in seen:
-            raise TrialFormatError(f"duplicate trial {trial.key} in {path}")
-        seen.add(trial.key)
+        key = trial[:3]
+        if key in seen:
+            raise TrialFormatError(f"duplicate trial {key} in {path}")
+        seen.add(key)
         trials.append(trial)
     return trials
 
@@ -96,9 +107,10 @@ def read_scores(path) -> list[tuple[Trial, float]]:
     seen = set()
     for fields in _read_rows(path, 5):
         trial = Trial(*fields[:4])
-        if trial.key in seen:
-            raise TrialFormatError(f"duplicate trial {trial.key} in {path}")
-        seen.add(trial.key)
+        key = trial[:3]
+        if key in seen:
+            raise TrialFormatError(f"duplicate trial {key} in {path}")
+        seen.add(key)
         out.append((trial, float(fields[4])))
     return out
 

@@ -6,6 +6,7 @@ are the second route in every dual-route check.
 """
 
 import numpy as np
+from scipy.special import ndtri
 
 from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError
@@ -97,8 +98,15 @@ def brute_force_det(trials: ScoredTrials) -> DetCurve:
 
 def brute_force_eer(trials: ScoredTrials) -> float:
     det = brute_force_det(trials)
-    p_miss = [float(v) for v in det.p_miss]
-    p_fa = [float(v) for v in det.p_fa]
+    return loop_eer_from_points(det.p_miss, det.p_fa)
+
+
+def loop_eer_from_points(p_miss, p_fa) -> float:
+    """EER from DET points by a scan for the first index where the miss
+    curve meets or passes the false-alarm curve, interpolating linearly from
+    the point before it."""
+    p_miss = [float(v) for v in p_miss]
+    p_fa = [float(v) for v in p_fa]
     for i in range(len(p_miss)):
         d = p_miss[i] - p_fa[i]
         if d >= 0.0:
@@ -116,6 +124,14 @@ def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
                for pm, pf in zip(det.p_miss, det.p_fa))
     return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
+
+
+def probit_csv_lines_oracle(det: DetCurve) -> list[str]:
+    """Probit DET lines with one ndtri call per rate."""
+    lines = ["probit_p_fa,probit_p_miss"]
+    for pm, pf in zip(det.p_miss, det.p_fa):
+        lines.append(f"{float(ndtri(pf))!r},{float(ndtri(pm))!r}")
+    return lines
 
 
 def cohort_scores_oracle(e, cohort, t):

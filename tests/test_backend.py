@@ -19,7 +19,8 @@ from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           score_trials, transform, wccn_from_covariance)
 from tdsv.errors import (DegenerateError, DimensionError,
                          InsufficientDataError, IterationLimitError,
-                         RankDeficiencyError)
+                         RankDeficiencyError, TensorFormatError)
+from tdsv.fileio import write_tensor
 from tdsv.metrics import ScoredTrials, compute_eer
 from tdsv.trials import EmbeddingRecord, Trial
 
@@ -525,6 +526,160 @@ class TestPhraseGlue:
             score_trials(trials + [Trial("s0-p0", "ghost", "p0", "tgt")],
                          records, enroll, backends)
         assert calls == []
+
+
+def _scoring_setup(seed, n_phrases, d):
+    """Per phrase: 2-3 background speakers, 2-4 models of 1-2 enrollment
+    utterances, 1-4 test utterances, and every model-test pair as a trial,
+    shuffled across phrases.  Each test utterance is shared by every model of
+    its phrase."""
+    rng = np.random.default_rng(seed)
+    records, background, enroll, trials = {}, {}, {}, []
+
+    def add(uid, speaker, phrase):
+        records[uid] = EmbeddingRecord(uid, speaker, phrase, rng.normal(size=d))
+        return uid
+
+    for p in range(n_phrases):
+        phrase = f"p{p}"
+        background[phrase] = [add(f"bg{s}_{phrase}_{k}", f"bg{s}", phrase)
+                              for s in range(int(rng.integers(2, 4)))
+                              for k in range(2)]
+        models = [f"m{m}-{phrase}" for m in range(int(rng.integers(2, 5)))]
+        for m, model in enumerate(models):
+            enroll[model] = [add(f"e{m}_{phrase}_{k}", f"m{m}", phrase)
+                             for k in range(int(rng.integers(1, 3)))]
+        tests = [add(f"t{k}_{phrase}", f"x{k}", phrase)
+                 for k in range(int(rng.integers(1, 5)))]
+        trials += [Trial(model, test, phrase, "unk")
+                   for model in models for test in tests]
+    trials = [trials[i] for i in rng.permutation(len(trials))]
+    return records, fit_backends(records, background), enroll, trials
+
+
+class TestScoreTrialsExact:
+    """score_trials moves each distinct vector into WCCN space once, and
+    every score keeps the bits of the scalar path on raw vectors."""
+
+    @given(st.integers(0, 5000), st.integers(1, 3), st.integers(2, 10),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_equal_scalar_path(self, seed, n_phrases, d, snorm):
+        records, backends, enroll, trials = _scoring_setup(seed, n_phrases, d)
+        got = score_trials(trials, records, enroll, backends, snorm=snorm)
+        model_vec = {m: enroll_model_vector([records[u].vector for u in utts])
+                     for m, utts in enroll.items()}
+        test_vec = {u: r.vector for u, r in records.items()}
+        stats = {}
+        if snorm:
+            # one cohort product per phrase for its models and one for its
+            # tests, rows in the order the trial list first names them
+            for phrase, b in backends.items():
+                in_phrase = [t for t in trials if t.phrase_id == phrase]
+                for field, vec in (("enroll_id", model_vec), ("test_id", test_vec)):
+                    ids = list(dict.fromkeys(getattr(t, field) for t in in_phrase))
+                    mu, sigma = cohort_stats(np.stack([vec[i] for i in ids]),
+                                             b.cohort, b.wccn)
+                    stats.update(((field, i), (float(m), float(s)))
+                                 for i, m, s in zip(ids, mu, sigma))
+        assert len(got) == len(trials)
+        for trial, score in zip(trials, got):
+            raw = cosine_score(model_vec[trial.enroll_id],
+                               test_vec[trial.test_id],
+                               backends[trial.phrase_id].wccn)
+            want = (apply_snorm(raw, stats["enroll_id", trial.enroll_id],
+                                stats["test_id", trial.test_id])
+                    if snorm else raw)
+            assert score == want
+
+    def test_shared_test_utterance_transformed_once(self, monkeypatch):
+        records, backends, enroll, trials = _scoring_setup(7, 1, 6)
+        shared = trials[0].test_id
+        sharing = [t for t in trials if t.test_id == shared]
+        assert len(sharing) >= 2
+        alone = [score_trials([t], records, enroll, backends, snorm=False)[0]
+                 for t in sharing]
+        calls = []
+        orig = backend_module.transform
+        monkeypatch.setattr(backend_module, "transform",
+                            lambda t, e: calls.append(e) or orig(t, e))
+        assert score_trials(sharing, records, enroll, backends,
+                            snorm=False) == alone
+        assert len(calls) == len(sharing) + 1  # each model, then the test
+
+    @pytest.mark.parametrize("snorm", [False, True])
+    def test_zero_norm_vector_rejected(self, snorm):
+        records, backends, enroll, trials = _scoring_setup(8, 2, 5)
+        ghost = records[trials[-1].test_id]
+        records[ghost.utterance_id] = EmbeddingRecord(
+            ghost.utterance_id, ghost.speaker_id, ghost.phrase_id,
+            np.zeros_like(ghost.vector))
+        with pytest.raises(DegenerateError, match="zero-norm"):
+            score_trials(trials, records, enroll, backends, snorm=snorm)
+
+    def test_cosine_score_in_wccn_space(self):
+        rng = np.random.default_rng(9)
+        t = wccn_from_covariance(_random_spd(rng, 5))
+        a, b = rng.normal(size=(2, 5))
+        assert cosine_score(transform(t, a), transform(t, b)) == cosine_score(a, b, t)
+        with pytest.raises(DegenerateError):
+            cosine_score(np.zeros(5), b)
+
+
+def _dropping_each_manifest_line(root):
+    """Yield (name, line) for each field or tensor line of a saved
+    artifact's manifest, with that line removed while the caller runs."""
+    manifest = root / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        manifest.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+        key, value = line.split("=", 1)
+        yield (value.split(" file=")[0] if key == "tensor" else key), line
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+class TestArtifactLoadErrors:
+    """A saved backend or fusion model with a missing or bad manifest entry
+    fails to load with a one-line TensorFormatError naming the entry."""
+
+    def test_backend_missing_entry(self, tmp_path):
+        records, backends, _, _ = _scoring_setup(11, 2, 4)
+        save_backends(tmp_path / "backend", backends)
+        dropped = []
+        for name, line in _dropping_each_manifest_line(tmp_path / "backend"):
+            with pytest.raises(TensorFormatError) as exc:
+                load_backends(tmp_path / "backend")
+            assert name in str(exc.value) and "\n" not in str(exc.value)
+            dropped.append(name)
+        # phrases, two cohort id lists, three tensors for each of two phrases
+        assert len(dropped) == 9
+        assert sorted(load_backends(tmp_path / "backend")) == ["p0", "p1"]
+
+    def test_backend_mis_shaped_cohort(self, tmp_path):
+        records, backends, _, _ = _scoring_setup(12, 1, 4)
+        save_backends(tmp_path / "backend", backends)
+        cohort = backends["p0"].cohort
+        write_tensor(tmp_path / "backend" / "p0.cohort.svt", cohort[:-1],
+                     np.float64)
+        with pytest.raises(TensorFormatError, match="p0"):
+            load_backends(tmp_path / "backend")
+
+    def test_fusion_missing_or_bad_entry(self, tmp_path):
+        root = tmp_path / "fusion"
+        save_fusion(root, FusionModel(np.array([0.5, -1.0]), 0.25))
+        dropped = []
+        for name, line in _dropping_each_manifest_line(root):
+            with pytest.raises(TensorFormatError) as exc:
+                load_fusion(root)
+            assert name in str(exc.value) and "\n" not in str(exc.value)
+            dropped.append(name)
+        assert sorted(dropped) == ["bias", "num_systems", "weights"]
+        text = (root / "manifest.txt").read_text()
+        for bad in (text.replace("bias=0.25", "bias=x"),
+                    text.replace("num_systems=2", "num_systems=3")):
+            (root / "manifest.txt").write_text(bad)
+            with pytest.raises(TensorFormatError):
+                load_fusion(root)
 
 
 class TestArtifactRoundTripProperties:

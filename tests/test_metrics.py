@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_det, brute_force_eer, brute_force_min_dcf
+from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
+                     loop_eer_from_points, probit_csv_lines_oracle)
 from tdsv.errors import DegenerateError, DimensionError, NumericalError
-from tdsv.metrics import (DetCurve, ScoredTrials, compute_det, compute_eer,
-                          compute_min_dcf, det_csv_lines, det_probit_csv_lines,
-                          eer_permutation_pvalue, summary_lines)
+from tdsv.metrics import (DetCurve, ScoredTrials, _eer_from_points, compute_det,
+                          compute_eer, compute_min_dcf, det_csv_lines,
+                          det_probit_csv_lines, eer_permutation_pvalue,
+                          summary_lines)
 
 WORKED = ScoredTrials(np.array([0.9, 0.8, 0.7, 0.2, 0.6, 0.3, 0.1, 0.05]),
                       np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool))
@@ -118,6 +120,55 @@ class TestAgainstBruteForce:
         assert np.array_equal(fast.thresholds, slow.thresholds)
         assert np.array_equal(fast.p_miss, slow.p_miss)
         assert np.array_equal(fast.p_fa, slow.p_fa)
+
+
+# many score ties, within and across classes
+TIED_TRIALS = st.lists(st.tuples(st.integers(0, 4), st.booleans()),
+                       min_size=2, max_size=40).filter(
+    lambda rows: len({label for _, label in rows}) == 2)
+
+
+class TestVectorizedAgainstLoops:
+    """The array forms of the EER crossing and the probit DET lines give the
+    bytes of the per-point loops kept in helpers."""
+
+    FIXTURES = [WORKED,
+                ScoredTrials(np.zeros(6), np.array([1, 0] * 3, dtype=bool)),
+                ScoredTrials(np.array([3.0, 2.0, 1.0, 0.0]),
+                             np.array([1, 1, 0, 0], dtype=bool)),
+                ScoredTrials(np.array([3.0, 2.0, 1.0, 0.0]),
+                             np.array([0, 0, 1, 1], dtype=bool))]
+
+    @pytest.mark.parametrize("trials", FIXTURES)
+    def test_fixtures(self, trials):
+        det = compute_det(trials)
+        eer = _eer_from_points(det.p_miss, det.p_fa)
+        assert eer == loop_eer_from_points(det.p_miss, det.p_fa)
+        assert eer == brute_force_eer(trials)
+        assert det_probit_csv_lines(det) == probit_csv_lines_oracle(det)
+
+    @given(TIED_TRIALS)
+    @settings(max_examples=150, deadline=None)
+    def test_tied_scores(self, rows):
+        trials = ScoredTrials(np.array([s / 4.0 for s, _ in rows]),
+                              np.array([label for _, label in rows]))
+        det = compute_det(trials)
+        eer = _eer_from_points(det.p_miss, det.p_fa)
+        assert eer == loop_eer_from_points(det.p_miss, det.p_fa)
+        assert eer == brute_force_eer(trials)
+        assert det_probit_csv_lines(det) == probit_csv_lines_oracle(det)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_scores(self, seed):
+        det = compute_det(_random_trials(np.random.default_rng(seed)))
+        assert (_eer_from_points(det.p_miss, det.p_fa)
+                == loop_eer_from_points(det.p_miss, det.p_fa))
+        assert det_probit_csv_lines(det) == probit_csv_lines_oracle(det)
+
+    def test_curves_that_never_cross(self):
+        with pytest.raises(NumericalError, match="never cross"):
+            _eer_from_points(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
 
 
 class TestInvariances:

@@ -1,5 +1,8 @@
 """Tab-separated table IO: trials, scores, corpus, enrollment, embeddings."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,49 @@ class TestTrials:
         path = tmp_path / "trials.tsv"
         path.write_text("\nm\tu\tp\ttgt\n\n")
         assert len(read_trials(path)) == 1
+
+
+class TestTrialRecord:
+    def test_contract(self):
+        t = Trial("m", "u", "p", "tgt")
+        assert (t.enroll_id, t.test_id, t.phrase_id, t.label) == ("m", "u", "p", "tgt")
+        assert t.key == ("m", "u", "p")
+        same = Trial("m", "u", "p", "tgt")
+        assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+        assert t != Trial("m", "u", "p", "non")
+        assert Trial(*t) == t
+
+    def test_immutable_and_slotted(self):
+        t = Trial("m", "u", "p", "tgt")
+        with pytest.raises(AttributeError):
+            t.label = "non"
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+    def test_pickles(self):
+        t = Trial("m", "u", "p", "unk")
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is Trial and back.key == t.key
+
+
+# one good row per reader; a bad row after three of them must still be
+# reported with its file and line number
+GOOD_ROWS = [(read_trials, "m\tu{}\tp\ttgt"),
+             (read_scores, "m\tu{}\tp\tnon\t0.5"),
+             (read_corpus, "u{}\ts0\tp0\tbg\ta.wav"),
+             (read_enroll_map, "m\tu{}"),
+             (read_embeddings, "u{}\ts0\tp0\t1.0 2.0")]
+
+
+@pytest.mark.parametrize("reader, row", GOOD_ROWS,
+                         ids=[r.__name__ for r, _ in GOOD_ROWS])
+def test_bad_row_after_good_ones_names_its_line(tmp_path, reader, row):
+    path = tmp_path / "table.tsv"
+    path.write_text("\n".join(row.format(i) for i in range(3))
+                    + "\n\nx\ty\tz\n")
+    with pytest.raises(TrialFormatError,
+                       match=re.escape(f"{path}:5: expected") + r" \d fields, got 3"):
+        reader(path)
 
 
 class TestScores:
