@@ -17,7 +17,8 @@ from . import fileio
 from .errors import (DegenerateError, DimensionError, InsufficientDataError,
                      IterationLimitError, RankDeficiencyError,
                      TensorFormatError)
-from .resnet import length_normalize
+
+FUSION_TOL = 1e-8  # gradient max-norm at which the fusion fit has converged
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,13 @@ class WccnTransform:
 class FusionModel:
     weights: np.ndarray
     bias: float
+
+
+def length_normalize(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise DegenerateError("cannot length-normalize a zero or non-finite vector")
+    return v / norm
 
 
 def wccn_from_covariance(within: np.ndarray, phrase_id: str = "") -> WccnTransform:
@@ -126,20 +134,23 @@ def apply_snorm(s: float, enroll_stats: tuple[float, float],
     return 0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t)
 
 
-def fit_fusion(scores: np.ndarray, labels: np.ndarray, *, tol: float = 1e-8,
+def fit_fusion(scores: np.ndarray, labels: np.ndarray, *,
                max_iter: int = 200_000, l2: float = 0.0) -> FusionModel:
-    """Logistic-regression fusion by gradient ascent on the mean binary
+    """Logistic-regression fusion: BFGS on the mean binary negative
     log-likelihood (optionally ridge-penalized).
 
     Inputs are standardized internally for conditioning and the fitted
     weights are mapped back to the raw score scale.  Convergence means the
-    gradient max-norm falls below ``tol``.  On separable data with ``l2 = 0``
-    the likelihood has no maximizer, but the gradient still vanishes along
-    the separating ray, so the fit returns a finite, very confident model
-    rather than diverging; pass ``l2 > 0`` to keep weights moderate.
-    IterationLimitError marks a stalled line search or an exhausted
-    iteration budget.
+    gradient max-norm falls below FUSION_TOL.  On separable data with
+    ``l2 = 0`` the likelihood has no maximizer, but the gradient still
+    vanishes along the separating ray, so the fit returns a finite, very
+    confident model rather than diverging; pass ``l2 > 0`` to keep weights
+    moderate.  IterationLimitError marks a fit that did not converge.
     """
+    # imported here, not at module level: scipy.optimize costs ~23 MB of RSS
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
@@ -152,43 +163,25 @@ def fit_fusion(scores: np.ndarray, labels: np.ndarray, *, tol: float = 1e-8,
     sd[sd == 0.0] = 1.0
     z = (scores - mu) / sd
     y = labels.astype(np.float64)
-    n, k = z.shape
 
-    def objective(w, b):
+    def loss_and_grad(theta):
+        w, b = theta[:-1], theta[-1]
         logits = z @ w + b
-        # mean log-likelihood, numerically stable via softplus
-        ll = -(np.logaddexp(0.0, -logits) * y
+        # mean negative log-likelihood, numerically stable via softplus
+        nll = (np.logaddexp(0.0, -logits) * y
                + np.logaddexp(0.0, logits) * (1.0 - y)).mean()
-        return ll - 0.5 * l2 * float(w @ w)
+        residual = expit(logits) - y
+        grad = np.append(z.T @ residual / len(y) + l2 * w, residual.mean())
+        return nll + 0.5 * l2 * float(w @ w), grad
 
-    w = np.zeros(k)
-    b = 0.0
-    step = 1.0
-    value = objective(w, b)
-    for _ in range(max_iter):
-        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
-        grad_w = z.T @ (y - p) / n - l2 * w
-        grad_b = float((y - p).mean())
-        gnorm = max(float(np.abs(grad_w).max()), abs(grad_b))
-        if gnorm < tol:
-            break
-        while step > 1e-16:
-            cand = objective(w + step * grad_w, b + step * grad_b)
-            if cand > value:
-                w = w + step * grad_w
-                b = b + step * grad_b
-                value = cand
-                step *= 2.0
-                break
-            step *= 0.5
-        else:
-            raise IterationLimitError(
-                f"fusion line search stalled at gradient max-norm {gnorm:.3e}")
-    else:
+    fit = minimize(loss_and_grad, np.zeros(z.shape[1] + 1), jac=True,
+                   method="BFGS",
+                   options={"gtol": FUSION_TOL, "maxiter": max_iter})
+    if not fit.success:
         raise IterationLimitError(
-            f"fusion did not converge in {max_iter} iterations "
-            f"(gradient max-norm {gnorm:.3e}, |w| up to {np.abs(w).max():.3e}); "
-            "scores may be linearly separable")
+            f"fusion did not converge in {fit.nit} of {max_iter} iterations "
+            f"(gradient max-norm {np.abs(fit.jac).max():.3e}): {fit.message}")
+    w, b = fit.x[:-1], float(fit.x[-1])
     weights = w / sd
     bias = b - float((w * mu / sd).sum())
     if not np.any(weights != 0.0):

@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .resnet import build_network, save_network
-    from .train import TrainConfig, train
+    from .train import train
     from .trials import read_corpus
 
     cfg = _load_pipeline_config(args)
@@ -147,9 +147,7 @@ def cmd_train(args) -> int:
     labels = np.array([label_of[e.speaker_id] for e in entries])
 
     out = _out(args)
-    history = train(net, inputs, labels,
-                    TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                learning_rate=cfg.learning_rate, seed=args.seed),
+    history = train(net, inputs, labels, cfg, args.seed,
                     checkpoint_dir=out / "checkpoints",
                     log_path=out / "training_log.csv")
     save_network(net, out / "model")

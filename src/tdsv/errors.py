@@ -55,3 +55,7 @@ class ConfigError(TdsvError):
 
 class TrialFormatError(TdsvError):
     """Malformed trial, score, corpus, enrollment, or embedding table."""
+
+
+class TableNumberError(TrialFormatError, ValueError):
+    """Unparsable score or embedding component in a table."""

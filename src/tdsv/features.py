@@ -1,8 +1,8 @@
 """Audio frontend: WAV ingestion and log-power spectrograms.
 
 Everything here is a pure function of its inputs, so concurrent use is
-safe.  The pipeline rate is 16 kHz PCM-16 mono throughout; no voice
-activity detection is applied anywhere.
+safe.  Audio is SAMPLE_RATE (16 kHz) PCM-16 mono and ``read_wav`` rejects
+any other rate.  No voice activity detection is applied anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioFormatError, TooShortError, UnsupportedAudioError
+
+SAMPLE_RATE = 16000
+WINDOW_LEN = 256
+FRAME_STEP = 64
+FFT_LEN = 512       # window is zero-padded; FFT_LEN//2 + 1 frequency bins
+LOG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -28,16 +34,6 @@ class Spectrogram:
     """Log-power magnitude spectrum, [frequency bins x frames]."""
 
     bins: np.ndarray
-    window_len: int
-    frame_step: int
-
-
-@dataclass(frozen=True)
-class SpectrogramConfig:
-    window_len: int = 256
-    frame_step: int = 64
-    fft_len: int = 512       # window is zero-padded; fft_len//2 + 1 frequency bins
-    log_floor: float = 1e-10
 
 
 def read_wav(path) -> Waveform:
@@ -60,6 +56,8 @@ def read_wav(path) -> Waveform:
         raise UnsupportedAudioError(f"{path}: {8 * sampwidth}-bit samples, expected 16-bit PCM")
     if channels != 1:
         raise UnsupportedAudioError(f"{path}: {channels} channels, expected mono")
+    if rate != SAMPLE_RATE:
+        raise UnsupportedAudioError(f"{path}: {rate} Hz, expected {SAMPLE_RATE} Hz")
     if n == 0:
         raise AudioFormatError(f"{path}: empty WAV file")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -82,38 +80,37 @@ def frame_count(num_samples: int, window_len: int, frame_step: int) -> int:
     return (num_samples - window_len) // frame_step + 1
 
 
-def _frame_signal(samples: np.ndarray, window_len: int, frame_step: int) -> np.ndarray:
-    t = frame_count(len(samples), window_len, frame_step)
-    offsets = np.arange(t) * frame_step
-    idx = offsets[:, None] + np.arange(window_len)[None, :]
+def _frame_signal(samples: np.ndarray) -> np.ndarray:
+    t = frame_count(len(samples), WINDOW_LEN, FRAME_STEP)
+    offsets = np.arange(t) * FRAME_STEP
+    idx = offsets[:, None] + np.arange(WINDOW_LEN)[None, :]
     return samples[idx]
 
 
-def compute_spectrogram(w: Waveform, config: SpectrogramConfig = SpectrogramConfig()) -> Spectrogram:
+def compute_spectrogram(w: Waveform) -> Spectrogram:
     """Windowed log-power spectrum, standardized to zero mean / unit variance.
 
-    Frames start at offsets 0, step, 2*step, ...; each frame is multiplied
-    by a Blackman window, zero-padded to ``fft_len``, and transformed by a
-    real DFT.  Cell values are log(|X|^2 + floor), then the whole image is
-    standardized over all cells.
+    Frames start at offsets 0, FRAME_STEP, 2*FRAME_STEP, ...; each frame is
+    multiplied by a Blackman window, zero-padded to FFT_LEN, and transformed
+    by a real DFT.  Cell values are log(|X|^2 + LOG_FLOOR), then the whole
+    image is standardized over all cells.
     """
-    if len(w.samples) < config.window_len:
+    if len(w.samples) < WINDOW_LEN:
         raise TooShortError(
             f"signal of {len(w.samples)} samples is shorter than one "
-            f"{config.window_len}-sample analysis window")
-    frames = _frame_signal(w.samples, config.window_len, config.frame_step)
-    windowed = frames * np.blackman(config.window_len)
-    mags = np.abs(np.fft.rfft(windowed, n=config.fft_len, axis=1))
-    logpow = np.log(mags ** 2 + config.log_floor).T  # [bins, frames]
+            f"{WINDOW_LEN}-sample analysis window")
+    frames = _frame_signal(w.samples)
+    windowed = frames * np.blackman(WINDOW_LEN)
+    mags = np.abs(np.fft.rfft(windowed, n=FFT_LEN, axis=1))
+    logpow = np.log(mags ** 2 + LOG_FLOOR).T  # [bins, frames]
     std = logpow.std()
     if std < 1e-12:
         std = 1.0
     normalized = (logpow - logpow.mean()) / std
-    return Spectrogram(bins=normalized, window_len=config.window_len,
-                       frame_step=config.frame_step)
+    return Spectrogram(bins=normalized)
 
 
-def fit_length(bins: np.ndarray, width: int = 800) -> np.ndarray:
+def fit_length(bins: np.ndarray, width: int) -> np.ndarray:
     """Normalize frame count to ``width``: crop at the left edge, or tile
     the image end-to-end with copies of itself until wide enough.
 

@@ -149,10 +149,11 @@ class BatchNorm:
     training update has happened yet.
     """
 
-    def __init__(self, channels, *, eps=1e-5, momentum=0.9, dtype=np.float32):
+    eps = 1e-5
+    momentum = 0.9
+
+    def __init__(self, channels, *, dtype=np.float32):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -363,13 +364,13 @@ class Adam:
     """Bias-corrected Adam over a dict of named parameter arrays (updated
     in place)."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-4,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .errors import DegenerateError, DimensionError, TensorFormatError
+from .errors import DimensionError, TensorFormatError
 from .nn import BatchNorm, Conv2D, Dense, GlobalAvgPool, MaxPool, ReLU
 
 
@@ -182,7 +182,7 @@ class Network:
         return self.stem_conv.backward(g)
 
 
-def build_network(num_speakers: int, seed: int, preset: str = "full") -> Network:
+def build_network(num_speakers: int, seed: int, preset: str) -> Network:
     if preset not in PRESETS:
         raise KeyError(f"unknown preset '{preset}' (have {sorted(PRESETS)})")
     return Network(replace(PRESETS[preset], num_speakers=num_speakers), seed)
@@ -203,24 +203,13 @@ def count_parameters(net: Network) -> tuple[list[tuple[str, int]], int]:
 
 
 def extract_embedding(net: Network, x: np.ndarray) -> np.ndarray:
-    """Pooled feature vector for one utterance, inference-mode BN.
+    """Pooled feature vector for one [H, W] spectrogram, inference-mode BN.
 
     The input is cast to the network's parameter dtype, so a float32 net
     runs its forward pass in float32 whatever the input's dtype.
     """
     x = x.astype(net.stem_conv.weight.dtype, copy=False)
-    if x.ndim == 2:
-        x = x[None, :, :, None]
-    elif x.ndim == 3:
-        x = x[None]
-    return net.features(x, train=False)[0]
-
-
-def length_normalize(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise DegenerateError("cannot length-normalize a zero or non-finite vector")
-    return v / norm
+    return net.features(x[None, :, :, None], train=False)[0]
 
 
 def _checkpoint_tensors(net: Network) -> dict[str, np.ndarray]:

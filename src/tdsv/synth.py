@@ -8,7 +8,7 @@ spectro-temporal energy pattern that a small CNN can learn in minutes.
 
 The generator writes a self-contained directory:
 
-  wav/<speaker>/<utterance>.wav   16 kHz mono PCM16
+  wav/<speaker>/<utterance>.wav   mono PCM16 at features.SAMPLE_RATE (16 kHz)
   corpus.tsv                      utterance table with bg/dev/eval splits
   enroll.tsv                      per (speaker, phrase) enrollment models
   trials_dev.tsv, trials_eval.tsv within-phrase target/nontarget trials
@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .features import Waveform, write_wav
+from .features import SAMPLE_RATE, Waveform, write_wav
 from .trials import (CorpusEntry, Trial, write_corpus, write_enroll_map,
                      write_trials)
 
 F0_RANGE = (95.0, 270.0)
 FORMANT_RANGES = ((300.0, 900.0), (1000.0, 2400.0), (2600.0, 3400.0))
+ENROLL_PER_MODEL = 3
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class SynthSpec:
     num_speakers: int = 10
     num_phrases: int = 2
     utterances_per_speaker: int = 20  # total, split across phrases
-    enroll_per_model: int = 3
-    sample_rate: int = 16000
     base_duration: float = 1.0
     noise_level: float = 0.03
     seed: int = 7
@@ -51,11 +50,11 @@ class SynthSpec:
         if self.num_phrases < 1:
             raise ConfigError("need at least one phrase")
         per_phrase = self.utterances_per_speaker // self.num_phrases
-        if per_phrase < self.enroll_per_model + 1:
+        if per_phrase < ENROLL_PER_MODEL + 1:
             raise ConfigError(
                 f"{self.utterances_per_speaker} utterances over "
                 f"{self.num_phrases} phrases leaves fewer than "
-                f"{self.enroll_per_model + 1} per phrase")
+                f"{ENROLL_PER_MODEL + 1} per phrase")
         if not 0.0 <= self.noise_level < 1.0:
             raise ConfigError("noise_level must lie in [0, 1)")
 
@@ -98,13 +97,12 @@ def make_phrase(spec: SynthSpec, index: int) -> PhraseTemplate:
 def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
                          spec: SynthSpec, rng: np.random.Generator) -> Waveform:
     """Additive harmonic synthesis with per-segment formant envelopes."""
-    sr = spec.sample_rate
     duration = spec.base_duration * rng.uniform(0.95, 1.1)
-    total = int(round(duration * sr))
+    total = int(round(duration * SAMPLE_RATE))
     f0 = voice.f0 * rng.uniform(0.97, 1.03)
     formant_jitter = rng.uniform(0.98, 1.02, size=len(voice.formants))
 
-    num_harmonics = int((sr / 2 - 200.0) // f0)
+    num_harmonics = int((SAMPLE_RATE / 2 - 200.0) // f0)
     freqs = f0 * np.arange(1, num_harmonics + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
 
@@ -124,13 +122,13 @@ def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
     lengths = np.diff(np.concatenate(([0], ends)))
     envelope = np.repeat(gains, lengths, axis=0)  # [total, K]
 
-    t = np.arange(total) / sr
+    t = np.arange(total) / SAMPLE_RATE
     wave = (envelope * np.sin(2.0 * np.pi * freqs * t[:, None] + phases)).sum(axis=1)
     peak = np.abs(wave).max()
     if peak > 0:
         wave = 0.7 * wave / peak
     wave = wave + rng.normal(0.0, spec.noise_level, total)
-    return Waveform(wave.astype(np.float64), sr)
+    return Waveform(wave.astype(np.float64), SAMPLE_RATE)
 
 
 def split_speakers(spec: SynthSpec) -> dict[str, str]:
@@ -187,19 +185,19 @@ def generate_corpus(spec: SynthSpec, out_dir) -> list[CorpusEntry]:
         entries.append(CorpusEntry(utt, spk, phr, splits[spk], rel))
     write_corpus(root / "corpus.tsv", entries)
 
-    enroll, trial_files = build_protocol(spec, entries)
+    enroll, trial_files = build_protocol(entries)
     write_enroll_map(root / "enroll.tsv", enroll)
     for split, trial_list in trial_files.items():
         write_trials(root / f"trials_{split}.tsv", trial_list)
     return entries
 
 
-def build_protocol(spec: SynthSpec, entries: list[CorpusEntry]
+def build_protocol(entries: list[CorpusEntry]
                    ) -> tuple[dict[str, list[str]], dict[str, list[Trial]]]:
     """Enrollment models and within-phrase trial lists for dev and eval.
 
     For each non-background (speaker, phrase) pair the first
-    ``enroll_per_model`` takes enroll a model; the remaining takes are test
+    ENROLL_PER_MODEL takes enroll a model; the remaining takes are test
     utterances.  Every model is tried against every same-split, same-phrase
     test utterance.
     """
@@ -212,7 +210,7 @@ def build_protocol(spec: SynthSpec, entries: list[CorpusEntry]
         key = (e.speaker_id, e.phrase_id)
         take = counts.get(key, 0)
         counts[key] = take + 1
-        if take < spec.enroll_per_model:
+        if take < ENROLL_PER_MODEL:
             by_model.setdefault(f"{e.speaker_id}-{e.phrase_id}", []).append(
                 e.utterance_id)
         else:

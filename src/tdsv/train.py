@@ -1,8 +1,9 @@
 """Minibatch Adam training of the speaker classifier.
 
 Examples are fixed-size spectrogram tensors [N, H, W, 1] with integer speaker
-labels.  Shuffling is driven by a dedicated seeded generator, so a (net seed,
-train seed) pair fully determines the run.  A checkpoint directory is written
+labels.  Epochs, batch size and learning rate come from the pipeline config.
+Shuffling is driven by a dedicated seeded generator, so a (net seed, train
+seed) pair fully determines the run.  A checkpoint directory is written
 after every epoch; a non-finite loss aborts with a pointer to the last good
 one.  Each finished epoch prints one progress line to stderr and, when a
 log path is given, appends its row to the training log.
@@ -18,17 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DimensionError, NumericalError
 from .nn import Adam, softmax_cross_entropy
 from .resnet import Network, save_network
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,7 @@ class EpochStats:
 
 
 def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
-          config: TrainConfig, checkpoint_dir=None,
+          config: PipelineConfig, seed: int, checkpoint_dir=None,
           log_path=None) -> list[EpochStats]:
     """Run the full loop and return per-epoch mean loss and accuracy.
 
@@ -57,7 +51,7 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
     if labels.min() < 0 or labels.max() >= net.config.num_speakers:
         raise DimensionError(
             f"labels outside [0, {net.config.num_speakers})")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     adam = Adam(net.named_parameters(), lr=config.learning_rate)
     history: list[EpochStats] = []
     last_good: Path | None = None

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import TrialFormatError
+from .errors import TableNumberError, TrialFormatError
 from .fileio import atomic_write_text
 
 LABELS = ("tgt", "non", "unk")
@@ -111,7 +111,11 @@ def read_scores(path) -> list[tuple[Trial, float]]:
         if key in seen:
             raise TrialFormatError(f"duplicate trial {key} in {path}")
         seen.add(key)
-        out.append((trial, float(fields[4])))
+        try:
+            out.append((trial, float(fields[4])))
+        except ValueError:
+            raise TableNumberError(
+                f"{path}: bad score '{fields[4]}' for trial {key}") from None
     return out
 
 
@@ -164,7 +168,11 @@ def read_embeddings(path) -> dict[str, EmbeddingRecord]:
         utt, speaker, phrase, packed = fields
         if utt in records:
             raise TrialFormatError(f"duplicate embedding for '{utt}' in {path}")
-        vector = np.array([float(v) for v in packed.split()])
+        try:
+            vector = np.array(packed.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise TableNumberError(
+                f"{path}: embedding for '{utt}' has a bad value ({exc})") from None
         if dim is None:
             dim = vector.size
         elif vector.size != dim:

@@ -200,3 +200,46 @@ def batchnorm_train_formulas(x, gamma, beta, eps, grad_out):
                               - xhat * (dxhat * xhat).sum(axis=axes))
     return (out, mean, var, grad_x, (grad_out * xhat).sum(axis=axes),
             grad_out.sum(axis=axes))
+
+
+def gradient_ascent_fusion(scores, labels, *, tol=1e-8, max_iter=200_000,
+                           l2=0.0):
+    """(weights, bias) of logistic-regression fusion by plain gradient ascent
+    on the mean log-likelihood minus the ridge term, with a step-doubling
+    line search, on standardized scores mapped back to the raw scale."""
+    scores = np.asarray(scores, dtype=np.float64)
+    mu = scores.mean(axis=0)
+    sd = scores.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    z = (scores - mu) / sd
+    y = np.asarray(labels, dtype=np.float64)
+    n, k = z.shape
+
+    def objective(w, b):
+        logits = z @ w + b
+        ll = -(np.logaddexp(0.0, -logits) * y
+               + np.logaddexp(0.0, logits) * (1.0 - y)).mean()
+        return ll - 0.5 * l2 * float(w @ w)
+
+    w = np.zeros(k)
+    b = 0.0
+    step = 1.0
+    value = objective(w, b)
+    for _ in range(max_iter):
+        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
+        grad_w = z.T @ (y - p) / n - l2 * w
+        grad_b = float((y - p).mean())
+        if max(float(np.abs(grad_w).max()), abs(grad_b)) < tol:
+            return w / sd, b - float((w * mu / sd).sum())
+        while step > 1e-16:
+            cand = objective(w + step * grad_w, b + step * grad_b)
+            if cand > value:
+                w = w + step * grad_w
+                b = b + step * grad_b
+                value = cand
+                step *= 2.0
+                break
+            step *= 0.5
+        else:
+            raise RuntimeError("fusion line search stalled")
+    raise RuntimeError(f"fusion did not converge in {max_iter} iterations")

@@ -25,8 +25,8 @@ from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
 from tdsv.cli import main
-from tdsv.features import (SpectrogramConfig, Waveform, compute_spectrogram,
-                           fit_length, frame_count)
+from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN, Waveform,
+                           compute_spectrogram, fit_length, frame_count)
 from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
                           compute_min_dcf, eer_permutation_pvalue)
 from tdsv.resnet import Network, NetworkConfig, build_network, count_parameters
@@ -334,17 +334,15 @@ def test_criterion_6_backend_algebra(capsys):
 
 def test_criterion_7_feature_fidelity(capsys):
     rng = np.random.default_rng(77)
-    cfg = SpectrogramConfig()
-
     counts_ok = all(
-        frame_count(length, cfg.window_len, cfg.frame_step)
-        == (length - cfg.window_len) // cfg.frame_step + 1
-        for length in rng.integers(cfg.window_len, 200_000, size=200))
+        frame_count(length, WINDOW_LEN, FRAME_STEP)
+        == (length - WINDOW_LEN) // FRAME_STEP + 1
+        for length in rng.integers(WINDOW_LEN, 200_000, size=200))
 
     from helpers import naive_dft_magnitudes
-    frame = rng.normal(size=cfg.window_len) * np.blackman(cfg.window_len)
-    dft_err = relative_error(np.abs(np.fft.rfft(frame, n=cfg.fft_len)),
-                             naive_dft_magnitudes(frame, cfg.fft_len),
+    frame = rng.normal(size=WINDOW_LEN) * np.blackman(WINDOW_LEN)
+    dft_err = relative_error(np.abs(np.fft.rfft(frame, n=FFT_LEN)),
+                             naive_dft_magnitudes(frame, FFT_LEN),
                              floor=1e-9)
 
     tile_ok = True
@@ -355,9 +353,9 @@ def test_criterion_7_feature_fidelity(capsys):
                        for j in range(200))
 
     k = 32
-    tone = np.sin(2 * np.pi * (16000.0 * k / cfg.fft_len)
+    tone = np.sin(2 * np.pi * (16000.0 * k / FFT_LEN)
                   * np.arange(4096) / 16000.0)
-    spec = compute_spectrogram(Waveform(0.5 * tone, 16000), cfg)
+    spec = compute_spectrogram(Waveform(0.5 * tone, 16000))
     peak_bin = int(spec.bins[:, 0].argmax())
 
     ok = _verdict(capsys,

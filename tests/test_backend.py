@@ -1,5 +1,8 @@
 """Scoring backend: WCCN algebra, cosine, s-norm, fusion, PCA, phrase glue."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cohort_scores_oracle, cohort_stats_oracle,
-                     pca_variance_oracle, relative_error)
+                     gradient_ascent_fusion, pca_variance_oracle,
+                     relative_error)
 from tdsv import backend as backend_module
 from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           apply_snorm, cohort_scores, cohort_stats,
@@ -221,6 +225,42 @@ def _two_system_scores(rng, n=400):
     s1 = latent + rng.normal(scale=1.6, size=n)
     s2 = latent + rng.normal(scale=1.6, size=n)
     return np.column_stack([s1, s2]), labels
+
+
+class TestFusionOracle:
+    """BFGS against plain gradient ascent on the same objective.  A balanced
+    set puts the bias near 0, so both parameters are held to the model's
+    scale, the largest of |weights| and |bias|."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("systems", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_gradient_ascent(self, seed, systems, l2):
+        rng = np.random.default_rng([seed, systems])
+        n = int(rng.integers(100, 600))
+        labels = rng.random(n) < 0.5
+        latent = np.where(labels, 1.0, -1.0)
+        scores = latent[:, None] + rng.normal(scale=1.6, size=(n, systems))
+        want_w, want_b = gradient_ascent_fusion(scores, labels, l2=l2)
+        model = fit_fusion(scores, labels, l2=l2)
+        scale = max(float(np.abs(want_w).max()), abs(want_b))
+        assert np.abs(model.weights - want_w).max() <= 1e-5 * scale
+        assert abs(model.bias - want_b) <= 1e-5 * scale
+        assert type(model.bias) is float
+
+
+def test_import_set_leaves_out_scipy_optimize():
+    """The modules a pipeline process loads up front must not pull in
+    scipy.optimize, which only the fusion fit needs."""
+    code = ("import sys\n"
+            "for m in ('cli', 'train', 'features', 'backend', 'metrics'):\n"
+            "    __import__('tdsv.' + m)\n"
+            "print('scipy.optimize' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 class TestFusion:

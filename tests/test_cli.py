@@ -206,6 +206,44 @@ class TestCliContracts:
         assert "no tensor 'block2.bn1.running_var'" in err
         assert not (tmp_path / "out" / "embeddings.tsv").exists()
 
+    def test_embed_rejects_8khz_corpus(self, pipeline, tmp_path, capsys):
+        from tdsv.features import Waveform, write_wav
+        from tdsv.trials import CorpusEntry, write_corpus
+
+        _, run = pipeline
+        corpus = tmp_path / "corpus"
+        (corpus / "wav").mkdir(parents=True)
+        write_wav(corpus / "wav" / "u0.wav", Waveform(np.zeros(8000), 8000))
+        write_corpus(corpus / "corpus.tsv",
+                     [CorpusEntry("u0", "s0", "p0", "eval", "wav/u0.wav")])
+        rc = main(["--output-dir", str(tmp_path / "out"), "embed",
+                   "--corpus", str(corpus), "--model", str(run / "model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "u0.wav" in err and "8000 Hz" in err
+        assert not (tmp_path / "out" / "embeddings.tsv").exists()
+
+    def test_eval_bad_score_names_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("m\tu\tp\ttgt\t0.5\nm\tv\tp\tnon\tabc\n")
+        rc = main(["--output-dir", str(tmp_path), "eval",
+                   "--scores", str(scores)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and str(scores) in err and "'abc'" in err
+
+    def test_project_bad_embedding_names_file(self, tmp_path, capsys):
+        emb = tmp_path / "embeddings.tsv"
+        emb.write_text("u0\ts0\tp0\t1.0 2.0\nu1\ts0\tp0\t2.0 x1\n")
+        rc = main(["--output-dir", str(tmp_path), "project",
+                   "--embeddings", str(emb)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and str(emb) in err and "'x1'" in err
+
     def test_unlabeled_scores_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"
         scores.write_text("m\tu\tp\tunk\t0.100000\n")

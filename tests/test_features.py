@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import naive_dft_magnitudes, relative_error
 from tdsv.errors import AudioFormatError, TooShortError, UnsupportedAudioError
-from tdsv.features import (SpectrogramConfig, Waveform, compute_spectrogram,
-                           fit_length, frame_count, read_wav, write_wav)
+from tdsv.features import (Waveform, compute_spectrogram, fit_length,
+                           frame_count, read_wav, write_wav)
 
 
 def _write_pcm(path, pcm16, rate=16000, channels=1, sampwidth=2):
@@ -57,6 +57,15 @@ class TestReadWav:
         with pytest.raises(UnsupportedAudioError, match="16-bit"):
             read_wav(path)
 
+    def test_rejects_8khz(self, tmp_path):
+        path = tmp_path / "n.wav"
+        _write_pcm(path, np.zeros(8000, dtype="<i2"), rate=8000)
+        with pytest.raises(UnsupportedAudioError) as exc:
+            read_wav(path)
+        message = str(exc.value)
+        assert str(path) in message and "8000 Hz" in message
+        assert "\n" not in message
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "g.wav"
         path.write_bytes(b"this is not a RIFF file at all.....")
@@ -102,8 +111,7 @@ class TestSpectrogram:
     @settings(max_examples=60)
     def test_frame_count_formula(self, length):
         assert frame_count(length, 256, 64) == (length - 256) // 64 + 1
-        s = compute_spectrogram(Waveform(np.zeros(length), 16000),
-                                SpectrogramConfig())
+        s = compute_spectrogram(Waveform(np.zeros(length), 16000))
         assert s.bins.shape[1] == (length - 256) // 64 + 1
 
     def test_dft_matches_naive_oracle(self):

@@ -7,11 +7,12 @@ import pytest
 
 from helpers import numeric_gradient, relative_error
 from tdsv import fileio, nn
+from tdsv.backend import length_normalize
 from tdsv.errors import (DegenerateError, DimensionError, TensorFormatError,
                          UninitializedStatsError)
 from tdsv.resnet import (NetworkConfig, Network, PRESETS, build_network,
-                         count_parameters, extract_embedding, length_normalize,
-                         load_network, save_network)
+                         count_parameters, extract_embedding, load_network,
+                         save_network)
 
 TINY = NetworkConfig(input_height=17, input_width=20, stem_channels=2,
                      block_channels=(2, 2, 4, 4), block_strides=(1, 1, 2, 1),
@@ -197,14 +198,11 @@ class TestEmbedding:
         assert np.array_equal(a, b)
         assert a.shape == (TINY.embedding_dim,)
 
-    def test_rank_2_3_4_inputs_agree(self, trained_tiny):
+    def test_only_one_spectrogram_accepted(self, trained_tiny):
         x = np.random.default_rng(2).normal(size=(TINY.input_height,
                                                   TINY.input_width))
-        a = extract_embedding(trained_tiny, x)
-        b = extract_embedding(trained_tiny, x[:, :, None])
-        c = extract_embedding(trained_tiny, x[None, :, :, None])
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
+        with pytest.raises(DimensionError):
+            extract_embedding(trained_tiny, x[:, :, None])
 
     def test_zero_input_is_finite(self, trained_tiny):
         emb = extract_embedding(trained_tiny,

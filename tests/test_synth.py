@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tdsv.errors import ConfigError
-from tdsv.features import read_wav
-from tdsv.synth import (SynthSpec, build_protocol, generate_corpus,
-                        make_phrase, make_voice, phrase_id, speaker_id,
-                        split_speakers, synthesize_utterance)
+from tdsv.features import SAMPLE_RATE, read_wav
+from tdsv.synth import (ENROLL_PER_MODEL, SynthSpec, build_protocol,
+                        generate_corpus, make_phrase, make_voice, phrase_id,
+                        speaker_id, split_speakers, synthesize_utterance)
 from tdsv.trials import read_corpus, read_enroll_map, read_trials
 
 SMALL = SynthSpec(num_speakers=6, num_phrases=2, utterances_per_speaker=8,
@@ -21,8 +21,7 @@ class TestSpecValidation:
 
     def test_too_few_takes_per_phrase(self):
         with pytest.raises(ConfigError):
-            SynthSpec(utterances_per_speaker=6, num_phrases=2,
-                      enroll_per_model=3)
+            SynthSpec(utterances_per_speaker=6, num_phrases=2)
 
     def test_noise_bounds(self):
         with pytest.raises(ConfigError, match="noise"):
@@ -47,7 +46,7 @@ class TestVoicesAndPhrases:
     def test_waveform_is_bounded_and_sized(self):
         wave = synthesize_utterance(make_voice(SMALL, 0), make_phrase(SMALL, 0),
                                     SMALL, np.random.default_rng(0))
-        assert wave.sample_rate == SMALL.sample_rate
+        assert wave.sample_rate == SAMPLE_RATE
         # 0.3 s nominal, up to x1.1 stretch, plus bounded additive noise
         assert 0.28 * 16000 <= wave.samples.size <= 0.34 * 16000
         assert np.abs(wave.samples).max() < 1.0
@@ -94,13 +93,13 @@ class TestProtocol:
         return entries
 
     def test_enrollment_uses_first_takes(self):
-        enroll, _ = build_protocol(SMALL, self._entries())
+        enroll, _ = build_protocol(self._entries())
         assert enroll["spk02-p0"] == ["spk02_p0_u00", "spk02_p0_u01",
                                       "spk02_p0_u02"]
         assert "spk00-p0" not in enroll  # background speakers do not enroll
 
     def test_trials_within_phrase_and_split(self):
-        _, trial_files = build_protocol(SMALL, self._entries())
+        _, trial_files = build_protocol(self._entries())
         for split, trial_list in trial_files.items():
             assert trial_list, split
             for t in trial_list:
@@ -108,7 +107,7 @@ class TestProtocol:
                 assert t.test_id.split("_")[1] == t.phrase_id
 
     def test_both_labels_present_per_phrase(self):
-        _, trial_files = build_protocol(SMALL, self._entries())
+        _, trial_files = build_protocol(self._entries())
         for split in ("dev", "eval"):
             for phr in ("p0", "p1"):
                 labels = {t.label for t in trial_files[split]
@@ -116,7 +115,7 @@ class TestProtocol:
                 assert labels == {"tgt", "non"}
 
     def test_enrollment_never_tested(self):
-        enroll, trial_files = build_protocol(SMALL, self._entries())
+        enroll, trial_files = build_protocol(self._entries())
         enrolled = {u for utts in enroll.values() for u in utts}
         for trial_list in trial_files.values():
             assert not enrolled & {t.test_id for t in trial_list}
@@ -131,7 +130,7 @@ class TestGenerateCorpus:
         assert len(entries) == SMALL.num_speakers * SMALL.utterances_per_speaker
         assert read_corpus(a_dir / "corpus.tsv") == entries
         enroll = read_enroll_map(a_dir / "enroll.tsv")
-        assert all(len(u) == SMALL.enroll_per_model for u in enroll.values())
+        assert all(len(u) == ENROLL_PER_MODEL for u in enroll.values())
         assert read_trials(a_dir / "trials_dev.tsv")
         assert read_trials(a_dir / "trials_eval.tsv")
 

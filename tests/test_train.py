@@ -1,12 +1,15 @@
 """Training loop behavior on a narrow network clone."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tdsv import nn
+from tdsv.config import PipelineConfig
 from tdsv.errors import DimensionError, NumericalError
 from tdsv.resnet import Network, NetworkConfig, load_network
-from tdsv.train import EpochStats, TrainConfig, train, write_training_log
+from tdsv.train import EpochStats, train, write_training_log
 
 TINY = NetworkConfig(input_height=17, input_width=20, stem_channels=2,
                      block_channels=(2, 2, 4, 4), block_strides=(1, 1, 2, 1),
@@ -25,8 +28,10 @@ class TestTrain:
         net = Network(TINY, seed=1, dtype=np.float64)
         before = {k: v.copy() for k, v in net.named_parameters().items()}
         x, y = _data()
-        history = train(net, x, y, TrainConfig(epochs=3, batch_size=4,
-                                               learning_rate=0.0, seed=0))
+        # PipelineConfig rejects a zero rate when a config loads; train reads
+        # only these three fields
+        history = train(net, x, y, SimpleNamespace(epochs=3, batch_size=4,
+                                                   learning_rate=0.0), 0)
         assert len(history) == 3
         for k, v in net.named_parameters().items():
             assert np.array_equal(v, before[k]), k
@@ -34,8 +39,8 @@ class TestTrain:
     def test_first_epoch_loss_near_log_k(self):
         net = Network(TINY, seed=2, dtype=np.float64)
         x, y = _data(n=12, seed=3)
-        history = train(net, x, y, TrainConfig(epochs=1, batch_size=4,
-                                               learning_rate=1e-5, seed=0))
+        history = train(net, x, y, PipelineConfig(epochs=1, batch_size=4,
+                                                  learning_rate=1e-5), 0)
         assert abs(history[0].loss - np.log(3.0)) < 0.5
 
     def test_deterministic_given_seeds(self):
@@ -43,8 +48,8 @@ class TestTrain:
         for _ in range(2):
             net = Network(TINY, seed=4, dtype=np.float64)
             x, y = _data(n=8, seed=5)
-            history = train(net, x, y, TrainConfig(epochs=2, batch_size=4,
-                                                   learning_rate=1e-3, seed=6))
+            history = train(net, x, y, PipelineConfig(epochs=2, batch_size=4,
+                                                      learning_rate=1e-3), 6)
             runs.append((history, {k: v.copy()
                                    for k, v in net.named_parameters().items()}))
         assert runs[0][0] == runs[1][0]
@@ -57,15 +62,15 @@ class TestTrain:
         # class-dependent mean shift makes the task easy
         y = np.array([0, 1, 2] * 4)
         x = rng.normal(size=(12, 17, 20, 1)) + y[:, None, None, None] * 2.0
-        history = train(net, x, y, TrainConfig(epochs=10, batch_size=4,
-                                               learning_rate=1e-3, seed=9))
+        history = train(net, x, y, PipelineConfig(epochs=10, batch_size=4,
+                                                  learning_rate=1e-3), 9)
         assert history[-1].loss < history[0].loss
 
     def test_checkpoints_written_per_epoch(self, tmp_path):
         net = Network(TINY, seed=10, dtype=np.float64)
         x, y = _data()
-        train(net, x, y, TrainConfig(epochs=2, batch_size=4,
-                                     learning_rate=1e-4, seed=0),
+        train(net, x, y, PipelineConfig(epochs=2, batch_size=4,
+                                        learning_rate=1e-4), 0,
               checkpoint_dir=tmp_path)
         assert (tmp_path / "epoch_001" / "manifest.txt").exists()
         assert (tmp_path / "epoch_002" / "manifest.txt").exists()
@@ -79,21 +84,21 @@ class TestTrain:
         x, y = _data()
         with pytest.raises(NumericalError,
                            match="epoch 1; last good checkpoint: none"):
-            train(net, x, y, TrainConfig(epochs=1, batch_size=4,
-                                         learning_rate=1e-4, seed=0),
+            train(net, x, y, PipelineConfig(epochs=1, batch_size=4,
+                                            learning_rate=1e-4), 0,
                   checkpoint_dir=tmp_path)
 
     def test_shape_validation(self):
         net = Network(TINY, seed=0)
         with pytest.raises(DimensionError):
             train(net, np.zeros((4, 17, 20)), np.zeros(4, dtype=int),
-                  TrainConfig(epochs=1))
+                  PipelineConfig(epochs=1), 0)
         with pytest.raises(DimensionError):
             train(net, np.zeros((0, 17, 20, 1)), np.zeros(0, dtype=int),
-                  TrainConfig(epochs=1))
+                  PipelineConfig(epochs=1), 0)
         with pytest.raises(DimensionError):
             train(net, np.zeros((2, 17, 20, 1)), np.array([0, 3]),
-                  TrainConfig(epochs=1))
+                  PipelineConfig(epochs=1), 0)
 
 
 class TestTrainingLog:
@@ -110,8 +115,8 @@ class TestTrainingLog:
         net = Network(TINY, seed=12, dtype=np.float64)
         x, y = _data()
         log = tmp_path / "log.csv"
-        history = train(net, x, y, TrainConfig(epochs=2, batch_size=4,
-                                               learning_rate=1e-4, seed=0),
+        history = train(net, x, y, PipelineConfig(epochs=2, batch_size=4,
+                                                  learning_rate=1e-4), 0,
                         log_path=log)
         write_training_log(tmp_path / "whole.csv", history)
         assert log.read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -134,8 +139,8 @@ class TestTrainingLog:
         x, y = _data()  # 8 examples at batch 4: two batches per epoch
         log = tmp_path / "log.csv"
         with pytest.raises(NumericalError, match="epoch 2; last good checkpoint: .*epoch_001"):
-            train(net, x, y, TrainConfig(epochs=3, batch_size=4,
-                                         learning_rate=1e-4, seed=0),
+            train(net, x, y, PipelineConfig(epochs=3, batch_size=4,
+                                            learning_rate=1e-4), 0,
                   checkpoint_dir=tmp_path / "ckpt", log_path=log)
         lines = log.read_text().splitlines()
         assert lines[0] == "epoch,loss,accuracy"

@@ -2,11 +2,15 @@
 
 import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdsv.errors import TrialFormatError
+from tdsv.errors import TableNumberError, TrialFormatError
 from tdsv.trials import (CorpusEntry, EmbeddingRecord, Trial, read_corpus,
                          read_embeddings, read_enroll_map, read_scores,
                          read_trials, write_corpus, write_embeddings,
@@ -166,3 +170,45 @@ class TestEmbeddings:
         path.write_text("u0\ts0\tp0\t1.0\nu0\ts0\tp0\t2.0\n")
         with pytest.raises(TrialFormatError, match="duplicate"):
             read_embeddings(path)
+
+
+# how a component may be written: the writer's "%.8e", a repr, a "%.6f"
+_FORMATS = (lambda v: f"{v:.8e}", repr, lambda v: f"{v:.6f}")
+_ODD_TOKENS = ("1_000", "nan", "-nan", "inf", "-inf", "1e5000", "-0.0",
+               "Infinity", "1e-400")
+
+
+class TestNumberParsing:
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(width=64), st.sampled_from(range(len(_FORMATS)))),
+        st.sampled_from(_ODD_TOKENS)), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_embedding_components_parse_like_float(self, parts):
+        tokens = [p if isinstance(p, str) else _FORMATS[p[1]](p[0])
+                  for p in parts]
+        want = np.array([float(t) for t in tokens])  # per-component oracle
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "embeddings.tsv"
+            path.write_text(f"u0\ts0\tp0\t{' '.join(tokens)}\n")
+            got = read_embeddings(path)["u0"].vector
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_bad_embedding_component_names_file_and_value(self, tmp_path):
+        path = tmp_path / "embeddings.tsv"
+        path.write_text("u0\ts0\tp0\t1.0 2.0\nu1\ts0\tp0\t1.0 abc\n")
+        with pytest.raises(TableNumberError) as exc:
+            read_embeddings(path)
+        assert isinstance(exc.value, TrialFormatError)
+        assert isinstance(exc.value, ValueError)
+        assert str(path) in str(exc.value) and "'abc'" in str(exc.value)
+        assert "'u1'" in str(exc.value)
+
+    def test_bad_score_names_file_and_value(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("m\tu\tp\ttgt\t0.5\nm\tv\tp\tnon\t1,5\n")
+        with pytest.raises(TableNumberError) as exc:
+            read_scores(path)
+        assert isinstance(exc.value, TrialFormatError)
+        assert isinstance(exc.value, ValueError)
+        assert str(path) in str(exc.value) and "'1,5'" in str(exc.value)
