@@ -16,14 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-# The stages run in this process with the default --threads 1, and numpy
-# reads the BLAS thread cap only when it loads, so set it before any import.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tdsv.cli import main as tdsv
+from tdsv.cli import BLAS_THREAD_VARS, main as tdsv  # loads no numpy
+
+# The stages run in this process with the default --threads 1, and numpy
+# reads the BLAS thread cap only when it loads, so set it before it does.
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
 from tdsv.config import PipelineConfig, save_config
 
 

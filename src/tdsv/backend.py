@@ -16,7 +16,7 @@ import numpy as np
 from . import fileio
 from .errors import (DegenerateError, DimensionError, InsufficientDataError,
                      IterationLimitError, RankDeficiencyError,
-                     TensorFormatError)
+                     TensorFormatError, UnknownIdError)
 
 FUSION_TOL = 1e-8  # gradient max-norm at which the fusion fit has converged
 
@@ -253,7 +253,8 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
         by_speaker: dict[str, list[str]] = {}
         for utt in sorted(background_utts_by_phrase[phrase]):
             if utt not in records:
-                raise KeyError(f"background utterance '{utt}' has no embedding")
+                raise UnknownIdError(
+                    f"background utterance '{utt}' has no embedding")
             rec = records[utt]
             if rec.phrase_id != phrase:
                 raise InsufficientDataError(
@@ -295,6 +296,11 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
     for model, utts in enroll_map.items():
+        missing = [u for u in utts if u not in records]
+        if missing:
+            raise UnknownIdError(
+                f"no embedding for enrollment utterance '{missing[0]}' of "
+                f"model '{model}'")
         recs = [records[u] for u in utts]
         phrases = {r.phrase_id for r in recs}
         if len(phrases) != 1:
@@ -307,16 +313,18 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
     needed: dict[str, tuple[dict, dict]] = {}
     for trial in trial_list:
         if trial.phrase_id not in backends:
-            raise KeyError(f"no backend fitted for phrase '{trial.phrase_id}'")
+            raise UnknownIdError(
+                f"no backend fitted for phrase '{trial.phrase_id}'")
         if trial.enroll_id not in model_vec:
-            raise KeyError(f"unknown enrollment model '{trial.enroll_id}'")
+            raise UnknownIdError(f"unknown enrollment model '{trial.enroll_id}'")
         if model_phrase[trial.enroll_id] != trial.phrase_id:
             raise InsufficientDataError(
                 f"model '{trial.enroll_id}' is phrase "
                 f"'{model_phrase[trial.enroll_id]}' but trial says "
                 f"'{trial.phrase_id}'")
         if trial.test_id not in records:
-            raise KeyError(f"no embedding for test utterance '{trial.test_id}'")
+            raise UnknownIdError(
+                f"no embedding for test utterance '{trial.test_id}'")
         test = records[trial.test_id]
         if test.phrase_id != trial.phrase_id:
             raise InsufficientDataError(

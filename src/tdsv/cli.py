@@ -4,9 +4,10 @@
 
 Commands: synth, train, embed, score, eval, fuse, project.  Each command
 reads only documented artifacts, writes only into --output-dir (atomically:
-temp file + rename), and exits nonzero with a one-line ``error: ...`` message
-on failure.  With ``TDSV_TRACEBACK=1`` in the environment the full traceback
-follows that line on stderr; the exit status is the same.
+temp file + rename), and on bad input or a failed file operation (a
+``TdsvError`` or ``OSError``) exits 2 with a one-line ``error: ...`` message.
+With ``TDSV_TRACEBACK=1`` in the environment the full traceback follows that
+line on stderr.  Any other exception is a bug and propagates unchanged.
 
 Heavy imports happen after argument parsing so --threads can pin the BLAS
 thread pools via environment variables before numpy loads.  An in-process
@@ -32,7 +33,9 @@ _GLOBAL_FLAGS = (
 
 _GLOBAL_DEFAULTS = {"config": None, "seed": 0, "threads": 1, "output_dir": "."}
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the environment variables that cap the BLAS/OpenMP thread pools; numpy
+# reads them only when it loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,6 +273,10 @@ def cmd_fuse(args) -> int:
                        if t.label != "unk"])
     keep = [i for i, t in enumerate(dev_trials) if t.label != "unk"]
     model = fit_fusion(dev_scores[keep], labels, l2=cfg.fusion_l2)
+    dev_fused = apply_fusion(model, dev_scores[keep])
+    if cfg.fusion_l2 == 0.0 and dev_fused[labels].min() > dev_fused[~labels].max():
+        print("warning: the dev trials are separable, so the fused score scale "
+              "is arbitrary; set fusion_l2 > 0 for a finite fit", file=sys.stderr)
 
     in_trials, in_scores = _aligned_scores(args.inputs)
     fused = apply_fusion(model, in_scores)
@@ -319,18 +326,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     threads = str(args.threads)
-    differ = [v for v in _BLAS_VARS if os.environ.get(v) != threads]
+    differ = [v for v in BLAS_THREAD_VARS if os.environ.get(v) != threads]
     if differ and "numpy" in sys.modules:
         print(f"warning: numpy was loaded before --threads {threads} could set "
               f"{', '.join(differ)}; the BLAS thread cap may not apply",
               file=sys.stderr)
-    for var in _BLAS_VARS:
+    for var in BLAS_THREAD_VARS:
         os.environ[var] = threads
     from .errors import TdsvError
 
     try:
         return _COMMANDS[args.command](args)
-    except (TdsvError, OSError, KeyError, ValueError) as exc:
+    except (TdsvError, OSError) as exc:
         message = str(exc).strip().replace("\n", " ") or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         if os.environ.get("TDSV_TRACEBACK") == "1":

@@ -8,17 +8,17 @@ keys, malformed values, and out-of-range settings are rejected at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .errors import ConfigError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_utf8
+from .resnet import PRESETS
 
 HEADER = "svconfig 1"
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    preset: str = "desk"          # network preset: desk | full
+    preset: str = "desk"          # network preset: a key of resnet.PRESETS
     epochs: int = 30
     batch_size: int = 16
     learning_rate: float = 1e-4
@@ -27,8 +27,9 @@ class PipelineConfig:
     fusion_l2: float = 0.0        # ridge weight for fusion fitting
 
     def __post_init__(self):
-        if self.preset not in ("desk", "full"):
-            raise ConfigError(f"preset must be desk or full, got '{self.preset}'")
+        if self.preset not in PRESETS:
+            raise ConfigError(
+                f"preset must be one of {sorted(PRESETS)}, got '{self.preset}'")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -56,7 +57,7 @@ _PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
 
 def load_config(path) -> PipelineConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, ConfigError)
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
     lines = [ln.strip() for ln in text.splitlines()]

@@ -59,3 +59,9 @@ class TrialFormatError(TdsvError):
 
 class TableNumberError(TrialFormatError, ValueError):
     """Unparsable score or embedding component in a table."""
+
+
+class UnknownIdError(TdsvError, KeyError):
+    """A model, utterance, phrase or preset id that the inputs do not define."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr

@@ -1,8 +1,9 @@
 """Audio frontend: WAV ingestion and log-power spectrograms.
 
 Everything here is a pure function of its inputs, so concurrent use is
-safe.  Audio is SAMPLE_RATE (16 kHz) PCM-16 mono and ``read_wav`` rejects
-any other rate.  No voice activity detection is applied anywhere.
+safe.  Audio is SAMPLE_RATE (16 kHz) PCM-16 mono, held as a plain float64
+sample array: ``read_wav`` rejects any other rate and ``write_wav`` always
+writes SAMPLE_RATE.  No voice activity detection is applied anywhere.
 """
 
 from __future__ import annotations
@@ -22,22 +23,14 @@ LOG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
-class Waveform:
-    """Mono signal with amplitudes in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-
-@dataclass(frozen=True)
 class Spectrogram:
     """Log-power magnitude spectrum, [frequency bins x frames]."""
 
     bins: np.ndarray
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE PCM-16 mono file; amplitudes are scaled by 1/32768."""
+def read_wav(path) -> np.ndarray:
+    """Samples of a RIFF/WAVE PCM-16 mono file, scaled by 1/32768."""
     try:
         with wave.open(str(path), "rb") as fh:
             channels = fh.getnchannels()
@@ -60,34 +53,33 @@ def read_wav(path) -> Waveform:
         raise UnsupportedAudioError(f"{path}: {rate} Hz, expected {SAMPLE_RATE} Hz")
     if n == 0:
         raise AudioFormatError(f"{path}: empty WAV file")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, waveform: Waveform) -> None:
-    """Write a mono PCM-16 WAV; values are clipped to the int16 range."""
-    pcm = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype("<i2")
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write a mono PCM-16 WAV at SAMPLE_RATE, clipped to the int16 range."""
+    pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(waveform.sample_rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(pcm.tobytes())
 
 
-def frame_count(num_samples: int, window_len: int, frame_step: int) -> int:
-    if num_samples < window_len:
+def frame_count(num_samples: int) -> int:
+    if num_samples < WINDOW_LEN:
         return 0
-    return (num_samples - window_len) // frame_step + 1
+    return (num_samples - WINDOW_LEN) // FRAME_STEP + 1
 
 
 def _frame_signal(samples: np.ndarray) -> np.ndarray:
-    t = frame_count(len(samples), WINDOW_LEN, FRAME_STEP)
+    t = frame_count(len(samples))
     offsets = np.arange(t) * FRAME_STEP
     idx = offsets[:, None] + np.arange(WINDOW_LEN)[None, :]
     return samples[idx]
 
 
-def compute_spectrogram(w: Waveform) -> Spectrogram:
+def compute_spectrogram(samples: np.ndarray) -> Spectrogram:
     """Windowed log-power spectrum, standardized to zero mean / unit variance.
 
     Frames start at offsets 0, FRAME_STEP, 2*FRAME_STEP, ...; each frame is
@@ -95,11 +87,11 @@ def compute_spectrogram(w: Waveform) -> Spectrogram:
     by a real DFT.  Cell values are log(|X|^2 + LOG_FLOOR), then the whole
     image is standardized over all cells.
     """
-    if len(w.samples) < WINDOW_LEN:
+    if len(samples) < WINDOW_LEN:
         raise TooShortError(
-            f"signal of {len(w.samples)} samples is shorter than one "
+            f"signal of {len(samples)} samples is shorter than one "
             f"{WINDOW_LEN}-sample analysis window")
-    frames = _frame_signal(w.samples)
+    frames = _frame_signal(samples)
     windowed = frames * np.blackman(WINDOW_LEN)
     mags = np.abs(np.fft.rfft(windowed, n=FFT_LEN, axis=1))
     logpow = np.log(mags ** 2 + LOG_FLOOR).T  # [bins, frames]

@@ -43,6 +43,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """Text of a UTF-8 file; undecodable bytes raise ``error`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+
+
 def tensor_to_bytes(array: np.ndarray, dtype=np.float32) -> bytes:
     dtype = np.dtype(dtype)
     if dtype not in MAGICS:
@@ -95,7 +104,7 @@ def write_manifest(path: str | Path, kind: str, version: int,
 
 def read_manifest(path: str | Path, kind: str, version: int) -> tuple[dict[str, str], dict[str, str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, TensorFormatError)
     except FileNotFoundError:
         raise FileNotFoundError(f"manifest not found: {path}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]

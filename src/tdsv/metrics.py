@@ -98,21 +98,6 @@ def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     return float(costs.min() / _dcf_normalizer(p_tar, c_miss, c_fa))
 
 
-def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,
-                           seed: int = 0) -> float:
-    """One-sided p-value for 'EER is below chance': the fraction of label
-    permutations whose EER is at most the observed one, with the +1
-    correction that counts the observed assignment itself."""
-    observed = compute_eer(trials)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(num_permutations):
-        permuted = ScoredTrials(trials.scores, rng.permutation(trials.labels))
-        if compute_eer(permuted) <= observed:
-            hits += 1
-    return (1 + hits) / (1 + num_permutations)
-
-
 def det_csv_lines(det: DetCurve) -> list[str]:
     lines = ["threshold,p_miss,p_fa"]
     for th, pm, pf in zip(det.thresholds, det.p_miss, det.p_fa):

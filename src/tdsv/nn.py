@@ -4,7 +4,9 @@ Tensors are plain numpy arrays, images are [batch, height, width, channels].
 Convolutions use "same"-style padding: the output spatial extent is
 ceil(input / stride), with the extra padding cell (odd totals) going to the
 bottom/right edge.  Each layer caches what its backward pass needs during
-forward; parameter gradients accumulate until ``zero_grad``.
+forward.  The trainable layers (Conv2D, Dense, BatchNorm) share one
+parameter protocol: ``params`` and ``grads`` by name, gradients accumulating
+until ``zero_grad``.
 
 Set ``nn.CHECK_FINITE = True`` to validate every op output (slow; meant for
 debugging and tests).
@@ -46,7 +48,40 @@ def _window_slices(kh, kw, sh, sw, out_h, out_w):
             yield i, j, (slice(i, i + sh * out_h, sh), slice(j, j + sw * out_w, sw))
 
 
-class Conv2D:
+class _Trainable:
+    """Parameter protocol of the layers with trainable arrays: each name in
+    NAMES is an array attribute whose gradient accumulates in ``grad_<name>``."""
+
+    NAMES = ("weight", "bias")
+
+    @property
+    def params(self):
+        return {k: getattr(self, k) for k in self.NAMES}
+
+    @property
+    def grads(self):
+        return {k: getattr(self, "grad_" + k) for k in self.NAMES}
+
+    def zero_grad(self):
+        for g in self.grads.values():
+            g[...] = 0
+
+    def _init_grads(self):
+        for k in self.NAMES:
+            setattr(self, "grad_" + k, np.zeros_like(getattr(self, k)))
+
+    def _init_affine(self, shape, fan_in, bias_size, rng, dtype):
+        """He-normal weights (zeros for a skeleton when ``rng`` is None), zero bias."""
+        if rng is None:
+            weight = np.zeros(shape, dtype)
+        else:
+            weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        self.weight = weight.astype(dtype, copy=False)
+        self.bias = np.zeros(bias_size, dtype=dtype)
+        self._init_grads()
+
+
+class Conv2D(_Trainable):
     """Strided cross-correlation; weights are [out_ch, in_ch, kh, kw]."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, *,
@@ -55,29 +90,9 @@ class Conv2D:
         self.stride = _pair(stride)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        if rng is None:
-            weight = np.zeros((out_channels, in_channels, kh, kw), dtype)
-        else:
-            fan_in = in_channels * kh * kw
-            weight = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                size=(out_channels, in_channels, kh, kw))
-        self.weight = weight.astype(dtype, copy=False)
-        self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._init_affine((out_channels, in_channels, kh, kw),
+                          in_channels * kh * kw, out_channels, rng, dtype)
         self._cache = None
-
-    @property
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    @property
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def zero_grad(self):
-        self.grad_weight[...] = 0
-        self.grad_bias[...] = 0
 
     def _im2col(self, xpad, out_h, out_w):
         """[N*out_h*out_w, kh*kw*C] patch rows, columns in (i, j, c) order:
@@ -141,7 +156,7 @@ class Conv2D:
         return gxpad[:, pt:pt + h, pl:pl + w, :]
 
 
-class BatchNorm:
+class BatchNorm(_Trainable):
     """Per-channel normalization over batch and spatial positions.
 
     Train mode uses batch statistics (biased variance) and updates running
@@ -149,6 +164,7 @@ class BatchNorm:
     training update has happened yet.
     """
 
+    NAMES = ("gamma", "beta")
     eps = 1e-5
     momentum = 0.9
 
@@ -159,21 +175,8 @@ class BatchNorm:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self.initialized = False
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
+        self._init_grads()
         self._cache = None
-
-    @property
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    @property
-    def grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-    def zero_grad(self):
-        self.grad_gamma[...] = 0
-        self.grad_beta[...] = 0
 
     def _axes(self, x):
         if x.shape[-1] != self.channels:
@@ -302,32 +305,13 @@ class GlobalAvgPool:
                                self._shape).astype(grad_out.dtype, copy=True)
 
 
-class Dense:
+class Dense(_Trainable):
     """Affine map on flat features; weights are [in_features, out_features]."""
 
     def __init__(self, in_features, out_features, *, rng=None, dtype=np.float32):
-        if rng is None:
-            weight = np.zeros((in_features, out_features), dtype)
-        else:
-            weight = rng.normal(0.0, np.sqrt(2.0 / in_features),
-                                size=(in_features, out_features))
-        self.weight = weight.astype(dtype, copy=False)
-        self.bias = np.zeros(out_features, dtype=dtype)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._init_affine((in_features, out_features), in_features,
+                          out_features, rng, dtype)
         self._x = None
-
-    @property
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    @property
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def zero_grad(self):
-        self.grad_weight[...] = 0
-        self.grad_bias[...] = 0
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:

@@ -14,12 +14,12 @@ trains in minutes on one core for end-to-end validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import fileio
-from .errors import DimensionError, TensorFormatError
+from .errors import DimensionError, TensorFormatError, UnknownIdError
 from .nn import BatchNorm, Conv2D, Dense, GlobalAvgPool, MaxPool, ReLU
 
 
@@ -184,7 +184,7 @@ class Network:
 
 def build_network(num_speakers: int, seed: int, preset: str) -> Network:
     if preset not in PRESETS:
-        raise KeyError(f"unknown preset '{preset}' (have {sorted(PRESETS)})")
+        raise UnknownIdError(f"unknown preset '{preset}' (have {sorted(PRESETS)})")
     return Network(replace(PRESETS[preset], num_speakers=num_speakers), seed)
 
 
@@ -224,39 +224,31 @@ def _checkpoint_tensors(net: Network) -> dict[str, np.ndarray]:
 
 
 def save_network(net: Network, path) -> None:
-    """Checkpoint directory: manifest + one tensor file per parameter and
-    BN running statistic."""
-    c = net.config
-    fields = {
-        "input_height": str(c.input_height),
-        "input_width": str(c.input_width),
-        "stem_channels": str(c.stem_channels),
-        "block_channels": ",".join(str(v) for v in c.block_channels),
-        "block_strides": ",".join(str(v) for v in c.block_strides),
-        "num_speakers": str(c.num_speakers),
-        "bn_initialized": "1" if all(b.initialized for b in net.batchnorms()) else "0",
-    }
-    fileio.write_tensor_dir(path, "svnet", 1, fields, _checkpoint_tensors(net))
+    """Checkpoint directory: manifest (NetworkConfig fields, bn_initialized)
+    + one tensor file per parameter and BN running statistic."""
+    entries = {}
+    for f in fields(NetworkConfig):
+        value = getattr(net.config, f.name)
+        entries[f.name] = (",".join(map(str, value)) if isinstance(value, tuple)
+                           else str(value))
+    entries["bn_initialized"] = "1" if all(b.initialized for b in net.batchnorms()) else "0"
+    fileio.write_tensor_dir(path, "svnet", 1, entries, _checkpoint_tensors(net))
 
 
 def load_network(path) -> Network:
     """Rebuild a saved network.  The skeleton draws no random numbers; every
     tensor it holds must be in the checkpoint with its exact shape."""
-    fields, tensors = fileio.read_tensor_dir(path, "svnet", 1)
+    entries, tensors = fileio.read_tensor_dir(path, "svnet", 1)
     try:
-        config = NetworkConfig(
-            input_height=int(fields["input_height"]),
-            input_width=int(fields["input_width"]),
-            stem_channels=int(fields["stem_channels"]),
-            block_channels=tuple(int(v) for v in fields["block_channels"].split(",")),
-            block_strides=tuple(int(v) for v in fields["block_strides"].split(",")),
-            num_speakers=int(fields["num_speakers"]),
-        )
+        config = NetworkConfig(**{
+            f.name: (tuple(int(v) for v in entries[f.name].split(","))
+                     if isinstance(f.default, tuple) else int(entries[f.name]))
+            for f in fields(NetworkConfig)})
     except (KeyError, ValueError) as exc:
         raise TensorFormatError(
             f"checkpoint {path} has a missing or bad field: {exc}") from None
     net = Network(config, seed=None)
-    initialized = fields.get("bn_initialized") == "1"
+    initialized = entries.get("bn_initialized") == "1"
     for bn in net.batchnorms():
         bn.initialized = initialized
     for name, arr in _checkpoint_tensors(net).items():

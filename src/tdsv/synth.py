@@ -8,7 +8,8 @@ spectro-temporal energy pattern that a small CNN can learn in minutes.
 
 The generator writes a self-contained directory:
 
-  wav/<speaker>/<utterance>.wav   mono PCM16 at features.SAMPLE_RATE (16 kHz)
+  wav/<speaker>/<utterance>.wav   mono PCM16 at features.SAMPLE_RATE (16 kHz),
+                                  from synthesize_utterance's sample array
   corpus.tsv                      utterance table with bg/dev/eval splits
   enroll.tsv                      per (speaker, phrase) enrollment models
   trials_dev.tsv, trials_eval.tsv within-phrase target/nontarget trials
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .features import SAMPLE_RATE, Waveform, write_wav
+from .features import SAMPLE_RATE, write_wav
 from .trials import (CorpusEntry, Trial, write_corpus, write_enroll_map,
                      write_trials)
 
@@ -95,7 +96,7 @@ def make_phrase(spec: SynthSpec, index: int) -> PhraseTemplate:
 
 
 def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
-                         spec: SynthSpec, rng: np.random.Generator) -> Waveform:
+                         spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Additive harmonic synthesis with per-segment formant envelopes."""
     duration = spec.base_duration * rng.uniform(0.95, 1.1)
     total = int(round(duration * SAMPLE_RATE))
@@ -127,8 +128,7 @@ def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
     peak = np.abs(wave).max()
     if peak > 0:
         wave = 0.7 * wave / peak
-    wave = wave + rng.normal(0.0, spec.noise_level, total)
-    return Waveform(wave.astype(np.float64), SAMPLE_RATE)
+    return wave + rng.normal(0.0, spec.noise_level, total)
 
 
 def split_speakers(spec: SynthSpec) -> dict[str, str]:

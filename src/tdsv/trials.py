@@ -15,13 +15,12 @@ counts) so downstream code can assume clean tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import TableNumberError, TrialFormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_utf8
 
 LABELS = ("tgt", "non", "unk")
 
@@ -71,7 +70,7 @@ class EmbeddingRecord:
 def _read_rows(path, expected_fields: int) -> Iterator[list[str]]:
     """Yield the tab-separated fields of each nonblank line, one line at a
     time, so a reader holds no table of rows besides what it builds."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, TrialFormatError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

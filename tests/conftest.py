@@ -2,9 +2,12 @@
 
 The tests call ``tdsv.cli.main`` in-process with the default ``--threads 1``;
 numpy reads the thread cap only when it loads, so it has to be set here.
+Importing ``tdsv.cli`` does not load numpy.
 """
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+from tdsv.cli import BLAS_THREAD_VARS
+
+for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError
-from tdsv.metrics import DetCurve, ScoredTrials
+from tdsv.metrics import DetCurve, ScoredTrials, compute_eer
 
 
 def relative_error(a, b, floor=1e-12):
@@ -243,3 +243,19 @@ def gradient_ascent_fusion(scores, labels, *, tol=1e-8, max_iter=200_000,
         else:
             raise RuntimeError("fusion line search stalled")
     raise RuntimeError(f"fusion did not converge in {max_iter} iterations")
+
+
+def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,
+                           seed: int = 0) -> float:
+    """One-sided p-value for 'EER is below chance': the fraction of label
+    permutations whose EER is at most the observed one, with the +1
+    correction that counts the observed assignment itself.  A test statistic
+    over the library's ``compute_eer``, not an oracle for it."""
+    observed = compute_eer(trials)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(num_permutations):
+        permuted = ScoredTrials(trials.scores, rng.permutation(trials.labels))
+        if compute_eer(permuted) <= observed:
+            hits += 1
+    return (1 + hits) / (1 + num_permutations)

@@ -20,15 +20,15 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     numeric_gradient, relative_error)
+                     eer_permutation_pvalue, numeric_gradient, relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
 from tdsv.cli import main
-from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN, Waveform,
+from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN,
                            compute_spectrogram, fit_length, frame_count)
 from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
-                          compute_min_dcf, eer_permutation_pvalue)
+                          compute_min_dcf)
 from tdsv.resnet import Network, NetworkConfig, build_network, count_parameters
 from tdsv.trials import read_scores
 
@@ -335,7 +335,7 @@ def test_criterion_6_backend_algebra(capsys):
 def test_criterion_7_feature_fidelity(capsys):
     rng = np.random.default_rng(77)
     counts_ok = all(
-        frame_count(length, WINDOW_LEN, FRAME_STEP)
+        frame_count(length)
         == (length - WINDOW_LEN) // FRAME_STEP + 1
         for length in rng.integers(WINDOW_LEN, 200_000, size=200))
 
@@ -355,7 +355,7 @@ def test_criterion_7_feature_fidelity(capsys):
     k = 32
     tone = np.sin(2 * np.pi * (16000.0 * k / FFT_LEN)
                   * np.arange(4096) / 16000.0)
-    spec = compute_spectrogram(Waveform(0.5 * tone, 16000))
+    spec = compute_spectrogram(0.5 * tone)
     peak_bin = int(spec.bins[:, 0].argmax())
 
     ok = _verdict(capsys,

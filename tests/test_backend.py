@@ -23,7 +23,8 @@ from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           score_trials, transform, wccn_from_covariance)
 from tdsv.errors import (DegenerateError, DimensionError,
                          InsufficientDataError, IterationLimitError,
-                         RankDeficiencyError, TensorFormatError)
+                         RankDeficiencyError, TdsvError, TensorFormatError,
+                         UnknownIdError)
 from tdsv.fileio import write_tensor
 from tdsv.metrics import ScoredTrials, compute_eer
 from tdsv.trials import EmbeddingRecord, Trial
@@ -492,6 +493,21 @@ class TestPhraseGlue:
         with pytest.raises(InsufficientDataError, match="mixes"):
             score_trials([Trial("s0-p0", "s0_p0_2", "p0", "tgt")], records,
                          {"s0-p0": ["s0_p0_0", "s0_p1_0"]}, backends)
+
+    def test_id_errors_are_typed(self, scored_setup):
+        records, backends, enroll, _ = scored_setup
+        for trial in (Trial("s0-p0", "s0_p0_2", "p9", "tgt"),
+                      Trial("s9-p0", "s0_p0_2", "p0", "tgt"),
+                      Trial("s0-p0", "ghost", "p0", "tgt")):
+            with pytest.raises(UnknownIdError) as exc:
+                score_trials([trial], records, enroll, backends)
+            assert isinstance(exc.value, TdsvError)
+            assert not str(exc.value).startswith("'")
+        with pytest.raises(UnknownIdError,
+                           match="'ghost' of model 's0-p0'"):
+            score_trials([], records, {"s0-p0": ["s0_p0_0", "ghost"]}, backends)
+        with pytest.raises(UnknownIdError, match="'ghost' has no embedding"):
+            fit_backends(records, {"p0": ["ghost"]})
 
     def test_backend_round_trip(self, scored_setup, tmp_path):
         records, backends, enroll, trials = scored_setup

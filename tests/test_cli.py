@@ -8,10 +8,15 @@ and exit codes.  Error cases call main() directly and check the one-line
 
 import os
 import shutil
+import subprocess
+import sys
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tdsv import cli
 from tdsv.cli import main
 from tdsv.config import HEADER
 
@@ -207,13 +212,16 @@ class TestCliContracts:
         assert not (tmp_path / "out" / "embeddings.tsv").exists()
 
     def test_embed_rejects_8khz_corpus(self, pipeline, tmp_path, capsys):
-        from tdsv.features import Waveform, write_wav
         from tdsv.trials import CorpusEntry, write_corpus
 
         _, run = pipeline
         corpus = tmp_path / "corpus"
         (corpus / "wav").mkdir(parents=True)
-        write_wav(corpus / "wav" / "u0.wav", Waveform(np.zeros(8000), 8000))
+        with wave.open(str(corpus / "wav" / "u0.wav"), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(np.zeros(8000, dtype="<i2").tobytes())
         write_corpus(corpus / "corpus.tsv",
                      [CorpusEntry("u0", "s0", "p0", "eval", "wav/u0.wav")])
         rc = main(["--output-dir", str(tmp_path / "out"), "embed",
@@ -291,6 +299,98 @@ class TestCliContracts:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--scores", "x", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestErrorTyping:
+    """Only toolkit errors and OS errors become the one-line ``error:``;
+    anything else is a bug and keeps its traceback."""
+
+    def test_plain_keyerror_propagates(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["--output-dir", str(tmp_path), "eval", "--scores", "x"])
+        assert "error:" not in capsys.readouterr().err
+
+    def test_missing_enrollment_embedding_names_model_and_utterance(
+            self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        model, utt = (corpus / "enroll.tsv").read_text().splitlines()[0].split("\t")
+        emb = tmp_path / "embeddings.tsv"
+        emb.write_text("".join(
+            ln for ln in (run / "embeddings.tsv").read_text().splitlines(True)
+            if not ln.startswith(utt + "\t")))
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_dev.tsv"),
+                   "--backend", str(run / "dev" / "backend")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
+        assert f"'{utt}'" in err and f"'{model}'" in err
+
+    def test_binary_trials_file(self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        trials = tmp_path / "trials.tsv"
+        trials.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus),
+                   "--embeddings", str(run / "embeddings.tsv"),
+                   "--trials", str(trials)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and str(trials) in err
+
+    def test_importing_cli_loads_no_numpy(self):
+        # what lets --threads set the BLAS cap for the console script
+        src = Path(cli.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tdsv.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
+class TestSeparableFusionWarning:
+    @staticmethod
+    def _warnings(capsys):
+        return [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning: ")]
+
+    @staticmethod
+    def _fuse(tmp_path, dev, config):
+        assert main(["--config", str(config), "--output-dir",
+                     str(tmp_path / "fused"), "fuse",
+                     "--dev", str(dev), "--inputs", str(dev)]) == 0
+
+    def test_pipeline_fuse_warns_once(self, pipeline, tmp_path, capsys):
+        _, run = pipeline
+        self._fuse(tmp_path, run / "dev" / "scores.tsv", run.parent / "run.cfg")
+        warnings = self._warnings(capsys)
+        assert len(warnings) == 1
+        assert "arbitrary" in warnings[0] and "fusion_l2 > 0" in warnings[0]
+
+    @pytest.mark.parametrize("scores, l2, warns", [
+        ((0.9, 0.2, 0.5, 0.1), 0.0, False),   # overlapping classes
+        ((0.9, 0.8, 0.2, 0.1), 0.1, False),   # separable, ridge-penalized
+        ((0.9, 0.8, 0.2, 0.1), 0.0, True),
+    ])
+    def test_warns_only_on_separable_unpenalized(self, tmp_path, capsys,
+                                                  scores, l2, warns):
+        dev = tmp_path / "dev.tsv"
+        labels = ("tgt", "tgt", "non", "non")
+        dev.write_text("".join(f"m\tu{i}\tp\t{lab}\t{s:.6f}\n"
+                               for i, (s, lab) in enumerate(zip(scores, labels))))
+        cfg = tmp_path / "fuse.cfg"
+        cfg.write_text(f"{HEADER}\nfusion_l2={l2}\n")
+        self._fuse(tmp_path, dev, cfg)
+        assert len(self._warnings(capsys)) == int(warns)
 
 
 class TestCohortSize:

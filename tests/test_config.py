@@ -3,6 +3,7 @@
 import pytest
 
 from tdsv.config import HEADER, PipelineConfig, load_config, save_config
+from tdsv.resnet import PRESETS
 from tdsv.errors import ConfigError
 
 
@@ -32,8 +33,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    def test_presets_are_the_network_presets(self):
+        for name in PRESETS:
+            assert PipelineConfig(preset=name).preset == name
+        with pytest.raises(ConfigError, match=r"\['desk', 'full'\], got 'huge'"):
+            PipelineConfig(preset="huge")
+
 
 class TestLoad:
+    def test_binary_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(b"svconfig 1\n\xff\xfe\x00")
+        with pytest.raises(ConfigError, match="bin.cfg: not UTF-8"):
+            load_config(path)
+
     def test_round_trip(self, tmp_path):
         cfg = PipelineConfig(preset="full", epochs=5, batch_size=8,
                              learning_rate=3e-4, snorm=False, cohort_size=12,

@@ -1,5 +1,6 @@
 """Audio frontend: WAV IO, spectrograms, length fitting."""
 
+import struct
 import wave
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import naive_dft_magnitudes, relative_error
 from tdsv.errors import AudioFormatError, TooShortError, UnsupportedAudioError
-from tdsv.features import (Waveform, compute_spectrogram, fit_length,
-                           frame_count, read_wav, write_wav)
+from tdsv.features import (compute_spectrogram, fit_length, frame_count,
+                           read_wav, write_wav)
 
 
 def _write_pcm(path, pcm16, rate=16000, channels=1, sampwidth=2):
@@ -26,24 +27,32 @@ class TestReadWav:
         path = tmp_path / "z.wav"
         _write_pcm(path, np.zeros(16000, dtype="<i2"))
         w = read_wav(path)
-        assert w.sample_rate == 16000
-        assert w.samples.shape == (16000,)
-        assert np.all(w.samples == 0.0)
+        assert w.shape == (16000,)
+        assert np.all(w == 0.0)
 
     def test_extreme_sample_scaling(self, tmp_path):
         path = tmp_path / "x.wav"
         _write_pcm(path, np.array([32767, -32768], dtype="<i2"))
         w = read_wav(path)
-        assert w.samples[0] == pytest.approx(32767 / 32768)
-        assert w.samples[1] == -1.0
+        assert w[0] == pytest.approx(32767 / 32768)
+        assert w[1] == -1.0
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.wav"
         rng = np.random.default_rng(0)
-        original = Waveform(rng.uniform(-0.9, 0.9, 400), 16000)
+        original = rng.uniform(-0.9, 0.9, 400)
         write_wav(path, original)
         back = read_wav(path)
-        assert np.abs(back.samples - original.samples).max() < 1.0 / 32768
+        assert np.abs(back - original).max() < 1.0 / 32768
+
+    def test_write_wav_header_is_16khz_mono_pcm16(self, tmp_path):
+        path = tmp_path / "h.wav"
+        write_wav(path, np.zeros(10))
+        raw = path.read_bytes()
+        # fmt chunk: format tag, channels, rate, byte rate, block align, bits
+        assert raw[12:16] == b"fmt "
+        assert struct.unpack_from("<HHIIHH", raw, 20) == (1, 1, 16000, 32000, 2, 16)
+        assert len(read_wav(path)) == 10
 
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "s.wav"
@@ -81,21 +90,21 @@ class TestReadWav:
 
 class TestSpectrogram:
     def test_single_frame(self):
-        w = Waveform(np.random.default_rng(0).normal(size=256), 16000)
+        w = np.random.default_rng(0).normal(size=256)
         s = compute_spectrogram(w)
         assert s.bins.shape == (257, 1)
 
     def test_800_frame_length(self):
-        w = Waveform(np.zeros(256 + 799 * 64), 16000)
+        w = np.zeros(256 + 799 * 64)
         assert compute_spectrogram(w).bins.shape == (257, 800)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            compute_spectrogram(Waveform(np.zeros(255), 16000))
+            compute_spectrogram(np.zeros(255))
 
     def test_global_standardization(self):
         rng = np.random.default_rng(3)
-        s = compute_spectrogram(Waveform(rng.normal(size=8000), 16000))
+        s = compute_spectrogram(rng.normal(size=8000))
         assert abs(s.bins.mean()) < 1e-6
         assert abs(s.bins.var() - 1.0) < 1e-6
 
@@ -103,15 +112,15 @@ class TestSpectrogram:
         # tone at bin k of the 512-point transform: f = 16000 * k / 512
         k = 32
         t = np.arange(4096) / 16000.0
-        w = Waveform(0.5 * np.sin(2 * np.pi * (16000.0 * k / 512) * t), 16000)
+        w = 0.5 * np.sin(2 * np.pi * (16000.0 * k / 512) * t)
         s = compute_spectrogram(w)
         assert int(s.bins[:, 0].argmax()) == k
 
     @given(st.integers(256, 100_000))
     @settings(max_examples=60)
     def test_frame_count_formula(self, length):
-        assert frame_count(length, 256, 64) == (length - 256) // 64 + 1
-        s = compute_spectrogram(Waveform(np.zeros(length), 16000))
+        assert frame_count(length) == (length - 256) // 64 + 1
+        s = compute_spectrogram(np.zeros(length))
         assert s.bins.shape[1] == (length - 256) // 64 + 1
 
     def test_dft_matches_naive_oracle(self):

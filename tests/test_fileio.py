@@ -135,3 +135,9 @@ def test_tensor_dir_float64_round_trip(tmp_path):
 def test_missing_manifest_names_the_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="manifest"):
         fileio.read_manifest(tmp_path / "nope" / "manifest.txt", "svnet", 1)
+
+
+def test_binary_manifest_is_a_format_error(tmp_path):
+    (tmp_path / "manifest.txt").write_bytes(b"svnet 1\n\x89PNG\xff")
+    with pytest.raises(TensorFormatError, match="manifest.txt: not UTF-8"):
+        fileio.read_manifest(tmp_path / "manifest.txt", "svnet", 1)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     loop_eer_from_points, probit_csv_lines_oracle)
+                     eer_permutation_pvalue, loop_eer_from_points,
+                     probit_csv_lines_oracle)
 from tdsv.errors import DegenerateError, DimensionError, NumericalError
 from tdsv.metrics import (DetCurve, ScoredTrials, _eer_from_points, compute_det,
                           compute_eer, compute_min_dcf, det_csv_lines,
-                          det_probit_csv_lines, eer_permutation_pvalue,
-                          summary_lines)
+                          det_probit_csv_lines, summary_lines)
 
 WORKED = ScoredTrials(np.array([0.9, 0.8, 0.7, 0.2, 0.6, 0.3, 0.1, 0.05]),
                       np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool))

@@ -1,5 +1,6 @@
 """Residual embedding network: construction, shapes, gradients, IO."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from helpers import numeric_gradient, relative_error
 from tdsv import fileio, nn
 from tdsv.backend import length_normalize
 from tdsv.errors import (DegenerateError, DimensionError, TensorFormatError,
-                         UninitializedStatsError)
+                         UninitializedStatsError, UnknownIdError)
 from tdsv.resnet import (NetworkConfig, Network, PRESETS, build_network,
                          count_parameters, extract_embedding, load_network,
                          save_network)
@@ -57,6 +58,10 @@ class TestConfig:
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
+            build_network(5, seed=0, preset="huge")
+
+    def test_unknown_preset_is_typed(self):
+        with pytest.raises(UnknownIdError, match="'huge'.*'desk', 'full'"):
             build_network(5, seed=0, preset="huge")
 
 
@@ -367,3 +372,39 @@ class TestCheckpointErrors:
             if not ln.startswith("stem_channels=")))
         with pytest.raises(TensorFormatError, match="stem_channels"):
             load_network(saved)
+
+
+class TestGoldenBytes:
+    """Digests of a seeded desk network: a change to the He-normal draws, the
+    order in which the layers draw them, or the checkpoint manifest layout
+    (which the benchmark's reference parser reads) fails here."""
+
+    DESK = replace(PRESETS["desk"], num_speakers=4)
+
+    def test_seeded_parameters(self):
+        digest = hashlib.sha256()
+        for name, arr in Network(self.DESK, seed=0).named_parameters().items():
+            digest.update(f"{name} {arr.dtype} {arr.shape}".encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "78cd0c055f479103b74e25e862fdbaa476fec403940c998e0e06fda957910ac3")
+
+    def test_manifest_text(self, tmp_path):
+        save_network(Network(self.DESK, seed=0), tmp_path / "m")
+        text = (tmp_path / "m" / "manifest.txt").read_text()
+        lines = text.splitlines()
+        assert lines[:8] == [
+            "svnet 1",
+            "input_height=257",
+            "input_width=200",
+            "stem_channels=16",
+            "block_channels=16,16,32,32,64,64,128,128",
+            "block_strides=1,1,2,1,2,1,2,1",
+            "num_speakers=4",
+            "bn_initialized=0",
+        ]
+        names = sorted(p.stem for p in (tmp_path / "m").glob("*.svt"))
+        assert lines[8:] == [f"tensor={n} file={n}.svt" for n in names]
+        assert len(names) == 118
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f6d4eb912cf4b74b82955346c4adba3279cfea048173eefbc4e594044246a55e")

@@ -48,6 +48,13 @@ class TestTrials:
         path.write_text("\nm\tu\tp\ttgt\n\n")
         assert len(read_trials(path)) == 1
 
+    def test_binary_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "trials.bin"
+        path.write_bytes(b"m\tu\tp\ttgt\n\xff\xd8\xff\xe0")
+        with pytest.raises(TrialFormatError,
+                           match="trials.bin: not UTF-8 text .* at byte 10"):
+            read_trials(path)
+
 
 class TestTrialRecord:
     def test_contract(self):
