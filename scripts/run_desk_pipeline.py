@@ -6,7 +6,8 @@ extracts embeddings, scores the dev and eval trial lists with the
 WCCN/cosine/s-norm backend, and prints both operating summaries.  Every
 stage goes through the command-line entry points, so the artifacts under
 --workdir are exactly what the CLI documents.  It ends with the sha256 (first
-12 hex digits) of each golden file, so two runs can be compared at a glance.
+12 hex digits) of each golden file and of the DET tables, so two runs can be
+compared at a glance.
 """
 
 import argparse
@@ -82,7 +83,9 @@ def main():
 
     print("\ndigests (sha256, first 12 hex digits):")
     for name in ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
-                 "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt"):
+                 "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt",
+                 "dev/det.csv", "eval/det.csv", "dev/det_probit.csv",
+                 "eval/det_probit.csv"):
         digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
         print(f"  {digest[:12]}  {name}")
 

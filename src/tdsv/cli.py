@@ -206,7 +206,7 @@ def cmd_score(args) -> int:
 
     scores = score_trials(trial_list, records, enroll, backends,
                           snorm=cfg.snorm)
-    write_scores(out / "scores.tsv", list(zip(trial_list, scores)))
+    write_scores(out / "scores.tsv", zip(trial_list, scores))
     print(f"scored {len(scores)} trials to {out / 'scores.tsv'}")
     return 0
 
@@ -219,13 +219,14 @@ def cmd_eval(args) -> int:
                           det_probit_csv_lines, summary_lines)
     from .trials import read_scores
 
-    scored = [(t, s) for t, s in read_scores(args.scores) if t.label != "unk"]
-    if not scored:
+    table = read_scores(args.scores)
+    labels = np.array(table.labels)
+    keep = labels != "unk"
+    if not keep.any():
         from .errors import DegenerateError
 
         raise DegenerateError(f"no labeled trials in {args.scores}")
-    trials = ScoredTrials(np.array([s for _, s in scored]),
-                          np.array([t.label == "tgt" for t, _ in scored]))
+    trials = ScoredTrials(table.scores[keep], labels[keep] == "tgt")
     summary = summary_lines(trials, p_tar=args.p_tar)
     det = compute_det(trials)
     out = _out(args)
@@ -238,23 +239,24 @@ def cmd_eval(args) -> int:
 
 
 def _aligned_scores(paths):
-    """Read several per-system score files and align them on trial keys."""
+    """Read several per-system score files and align them on trial keys:
+    the first file's table and a [trials, systems] score matrix."""
     import numpy as np
 
     from .errors import TrialFormatError
     from .trials import read_scores
 
     baseline = read_scores(paths[0])
-    keys = [t.key for t, _ in baseline]
-    columns = [np.array([s for _, s in baseline])]
+    keys = list(zip(*baseline[:3]))
+    columns = [baseline.scores]
     for path in paths[1:]:
-        rows = {t.key: (t, s) for t, s in read_scores(path)}
-        if set(rows) != set(keys):
+        table = read_scores(path)
+        row_of = {key: i for i, key in enumerate(zip(*table[:3]))}
+        if row_of.keys() != set(keys):
             raise TrialFormatError(
                 f"{path} covers different trials than {paths[0]}")
-        columns.append(np.array([rows[k][1] for k in keys]))
-    trials = [t for t, _ in baseline]
-    return trials, np.stack(columns, axis=1)
+        columns.append(table.scores[[row_of[k] for k in keys]])
+    return baseline, np.stack(columns, axis=1)
 
 
 def cmd_fuse(args) -> int:
@@ -268,23 +270,23 @@ def cmd_fuse(args) -> int:
         from .errors import ConfigError
 
         raise ConfigError("--dev and --inputs need one file per system")
-    dev_trials, dev_scores = _aligned_scores(args.dev)
-    labels = np.array([t.label == "tgt" for t in dev_trials
-                       if t.label != "unk"])
-    keep = [i for i, t in enumerate(dev_trials) if t.label != "unk"]
+    dev_table, dev_scores = _aligned_scores(args.dev)
+    dev_labels = np.array(dev_table.labels)
+    keep = dev_labels != "unk"
+    labels = dev_labels[keep] == "tgt"
     model = fit_fusion(dev_scores[keep], labels, l2=cfg.fusion_l2)
     dev_fused = apply_fusion(model, dev_scores[keep])
     if cfg.fusion_l2 == 0.0 and dev_fused[labels].min() > dev_fused[~labels].max():
         print("warning: the dev trials are separable, so the fused score scale "
               "is arbitrary; set fusion_l2 > 0 for a finite fit", file=sys.stderr)
 
-    in_trials, in_scores = _aligned_scores(args.inputs)
+    in_table, in_scores = _aligned_scores(args.inputs)
     fused = apply_fusion(model, in_scores)
     out = _out(args)
-    write_scores(out / "fused_scores.tsv", list(zip(in_trials, fused)))
+    write_scores(out / "fused_scores.tsv", zip(zip(*in_table[:4]), fused))
     save_fusion(out / "fusion", model)
     weights = " ".join(f"{w:+.4f}" for w in model.weights)
-    print(f"fused {len(in_trials)} trials; weights [{weights}] "
+    print(f"fused {len(fused)} trials; weights [{weights}] "
           f"bias {model.bias:+.4f}")
     return 0
 

@@ -53,6 +53,9 @@ def read_wav(path) -> np.ndarray:
         raise UnsupportedAudioError(f"{path}: {rate} Hz, expected {SAMPLE_RATE} Hz")
     if n == 0:
         raise AudioFormatError(f"{path}: empty WAV file")
+    if len(raw) != n * sampwidth:
+        raise AudioFormatError(f"{path}: truncated WAV data: header promises "
+                               f"{n * sampwidth} bytes, file holds {len(raw)}")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

@@ -98,19 +98,29 @@ def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     return float(costs.min() / _dcf_normalizer(p_tar, c_miss, c_fa))
 
 
+def _reprs_by_value(values: np.ndarray, fn=None) -> list[str]:
+    """``repr`` of ``fn(v)`` for each value, formatted once per distinct
+    value: a miss rate takes at most #targets + 1 values."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    if fn is not None:
+        distinct = fn(distinct)
+    reprs = [repr(v) for v in distinct.tolist()]
+    return [reprs[i] for i in inverse.tolist()]
+
+
 def det_csv_lines(det: DetCurve) -> list[str]:
-    lines = ["threshold,p_miss,p_fa"]
-    for th, pm, pf in zip(det.thresholds, det.p_miss, det.p_fa):
-        lines.append(f"{float(th)!r},{float(pm)!r},{float(pf)!r}")
-    return lines
+    return ["threshold,p_miss,p_fa"] + [
+        f"{th!r},{pm},{pf!r}" for th, pm, pf in zip(
+            det.thresholds.tolist(), _reprs_by_value(det.p_miss),
+            det.p_fa.tolist())]
 
 
 def det_probit_csv_lines(det: DetCurve) -> list[str]:
     """Probit-warped coordinates; endpoint rates 0 and 1 map to infinities,
     which plotting code is expected to drop."""
     return ["probit_p_fa,probit_p_miss"] + [
-        f"{pf!r},{pm!r}" for pf, pm in zip(ndtri(det.p_fa).tolist(),
-                                           ndtri(det.p_miss).tolist())]
+        f"{pf!r},{pm}" for pf, pm in zip(ndtri(det.p_fa).tolist(),
+                                         _reprs_by_value(det.p_miss, ndtri))]
 
 
 def summary_lines(trials: ScoredTrials, p_tar: float = 1e-3) -> list[str]:

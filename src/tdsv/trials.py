@@ -9,13 +9,21 @@ Everything is UTF-8, tab-separated, one record per line, no timestamps:
   embeddings.tsv  utterance_id  speaker_id  phrase_id  space-joined "%.8e"
 
 Readers validate structure eagerly (duplicate ids, unknown labels, field
-counts) so downstream code can assume clean tables.
+counts) so downstream code can assume clean tables.  Every reader parses
+through ``_read_columns``: one split of the whole text into columns, checked
+column by column.  So a file with several faults reports the first kind in
+this order, and within a kind its first offending line: field count,
+unknown label, duplicate key, then a bad number or an embedding of the wrong
+size, whichever comes first.  ``read_scores`` returns columns
+(a ``ScoreTable``); the other readers build one object per row only where
+their return type holds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,32 +75,53 @@ class EmbeddingRecord:
     vector: np.ndarray
 
 
-def _read_rows(path, expected_fields: int) -> Iterator[list[str]]:
-    """Yield the tab-separated fields of each nonblank line, one line at a
-    time, so a reader holds no table of rows besides what it builds."""
+def _read_columns(path, n: int) -> list[list[str]]:
+    """The ``n`` tab-separated columns of a table's nonblank lines.
+
+    One split of the whole text, then one slice per column; the lines are
+    only walked one by one to name the first with the wrong field count."""
     text = read_utf8(path, TrialFormatError)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != expected_fields:
-            raise TrialFormatError(
-                f"{path}:{lineno}: expected {expected_fields} fields, "
-                f"got {len(fields)}")
-        yield fields
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines:
+        return [[] for _ in range(n)]
+    if set(map(str.count, lines, repeat("\t", len(lines)))) != {n - 1}:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            got = line.count("\t") + 1
+            if line.strip() and got != n:
+                raise TrialFormatError(
+                    f"{path}:{lineno}: expected {n} fields, got {got}")
+    flat = "\t".join(lines).split("\t")
+    return [flat[i::n] for i in range(n)]
+
+
+def _first_repeat(keys) -> int | None:
+    """Index of the first key equal to an earlier one, or None."""
+    keys = list(keys)
+    if len(set(keys)) == len(keys):
+        return None
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+
+
+def _check_trial_columns(path, enroll, test, phrase, labels) -> None:
+    if not set(labels) <= set(LABELS):
+        bad = next(label for label in labels if label not in LABELS)
+        raise TrialFormatError(f"unknown trial label '{bad}'")
+    # the fields hold no tab, so the tab-joined key is unique iff the triple is
+    i = _first_repeat(map("\t".join, zip(enroll, test, phrase)))
+    if i is not None:
+        key = (enroll[i], test[i], phrase[i])
+        raise TrialFormatError(f"duplicate trial {key} in {path}")
 
 
 def read_trials(path) -> list[Trial]:
-    trials = []
-    seen = set()
-    for fields in _read_rows(path, 4):
-        trial = Trial(*fields)
-        key = trial[:3]
-        if key in seen:
-            raise TrialFormatError(f"duplicate trial {key} in {path}")
-        seen.add(key)
-        trials.append(trial)
-    return trials
+    columns = _read_columns(path, 4)
+    _check_trial_columns(path, *columns)
+    # labels checked above: skip Trial.__new__'s per-row check
+    return list(map(tuple.__new__, repeat(Trial), zip(*columns)))
 
 
 def write_trials(path, trials: list[Trial]) -> None:
@@ -101,40 +130,47 @@ def write_trials(path, trials: list[Trial]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_scores(path) -> list[tuple[Trial, float]]:
-    out = []
-    seen = set()
-    for fields in _read_rows(path, 5):
-        trial = Trial(*fields[:4])
-        key = trial[:3]
-        if key in seen:
-            raise TrialFormatError(f"duplicate trial {key} in {path}")
-        seen.add(key)
-        try:
-            out.append((trial, float(fields[4])))
-        except ValueError:
-            raise TableNumberError(
-                f"{path}: bad score '{fields[4]}' for trial {key}") from None
-    return out
+class ScoreTable(NamedTuple):
+    """A score file as columns, in file order."""
+
+    enroll_ids: list[str]
+    test_ids: list[str]
+    phrase_ids: list[str]
+    labels: list[str]  # tgt | non | unk
+    scores: np.ndarray  # float64, parsed like float()
 
 
-def write_scores(path, scored: list[tuple[Trial, float]]) -> None:
-    lines = [f"{t.enroll_id}\t{t.test_id}\t{t.phrase_id}\t{t.label}\t{s:.6f}"
-             for t, s in scored]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def read_scores(path) -> ScoreTable:
+    *fields, numbers = _read_columns(path, 5)
+    _check_trial_columns(path, *fields)
+    try:
+        scores = np.array(numbers, dtype=np.float64)
+    except ValueError:
+        for i, number in enumerate(numbers):
+            try:
+                float(number)
+            except ValueError:
+                key = (fields[0][i], fields[1][i], fields[2][i])
+                raise TableNumberError(
+                    f"{path}: bad score '{number}' for trial {key}") from None
+        raise
+    return ScoreTable(*fields, scores)
+
+
+def write_scores(path, scored) -> None:
+    """Write (trial, score) pairs; a trial is any 4-tuple of fields."""
+    text = "".join(f"{e}\t{t}\t{p}\t{label}\t{s:.6f}\n"
+                   for (e, t, p, label), s in scored)
+    atomic_write_text(path, text or "\n")
 
 
 def read_corpus(path) -> list[CorpusEntry]:
-    entries = []
-    seen = set()
-    for fields in _read_rows(path, 5):
-        entry = CorpusEntry(*fields)
-        if entry.utterance_id in seen:
-            raise TrialFormatError(
-                f"duplicate utterance '{entry.utterance_id}' in {path}")
-        seen.add(entry.utterance_id)
-        entries.append(entry)
-    return entries
+    columns = _read_columns(path, 5)
+    i = _first_repeat(columns[0])
+    if i is not None:
+        raise TrialFormatError(
+            f"duplicate utterance '{columns[0][i]}' in {path}")
+    return list(map(CorpusEntry, *columns))
 
 
 def write_corpus(path, entries: list[CorpusEntry]) -> None:
@@ -144,13 +180,14 @@ def write_corpus(path, entries: list[CorpusEntry]) -> None:
 
 
 def read_enroll_map(path) -> dict[str, list[str]]:
+    models, utts = _read_columns(path, 2)
+    i = _first_repeat(zip(models, utts))
+    if i is not None:
+        raise TrialFormatError(
+            f"duplicate enrollment ({models[i]}, {utts[i]}) in {path}")
     mapping: dict[str, list[str]] = {}
-    for model_id, utt_id in _read_rows(path, 2):
-        utts = mapping.setdefault(model_id, [])
-        if utt_id in utts:
-            raise TrialFormatError(
-                f"duplicate enrollment ({model_id}, {utt_id}) in {path}")
-        utts.append(utt_id)
+    for model_id, utt_id in zip(models, utts):
+        mapping.setdefault(model_id, []).append(utt_id)
     return mapping
 
 
@@ -161,12 +198,14 @@ def write_enroll_map(path, mapping: dict[str, list[str]]) -> None:
 
 
 def read_embeddings(path) -> dict[str, EmbeddingRecord]:
+    columns = _read_columns(path, 4)
+    i = _first_repeat(columns[0])
+    if i is not None:
+        raise TrialFormatError(
+            f"duplicate embedding for '{columns[0][i]}' in {path}")
     records: dict[str, EmbeddingRecord] = {}
     dim = None
-    for fields in _read_rows(path, 4):
-        utt, speaker, phrase, packed = fields
-        if utt in records:
-            raise TrialFormatError(f"duplicate embedding for '{utt}' in {path}")
+    for utt, speaker, phrase, packed in zip(*columns):
         try:
             vector = np.array(packed.split(), dtype=np.float64)
         except ValueError as exc:

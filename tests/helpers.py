@@ -9,8 +9,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from tdsv.backend import cosine_score
-from tdsv.errors import NumericalError
+from tdsv.errors import NumericalError, TableNumberError, TrialFormatError
+from tdsv.fileio import read_utf8
 from tdsv.metrics import DetCurve, ScoredTrials, compute_eer
+from tdsv.trials import CorpusEntry, EmbeddingRecord, Trial
 
 
 def relative_error(a, b, floor=1e-12):
@@ -124,6 +126,14 @@ def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
     best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
                for pm, pf in zip(det.p_miss, det.p_fa))
     return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
+
+
+def det_csv_lines_oracle(det: DetCurve) -> list[str]:
+    """DET lines with one repr per point and rate."""
+    lines = ["threshold,p_miss,p_fa"]
+    for th, pm, pf in zip(det.thresholds, det.p_miss, det.p_fa):
+        lines.append(f"{float(th)!r},{float(pm)!r},{float(pf)!r}")
+    return lines
 
 
 def probit_csv_lines_oracle(det: DetCurve) -> list[str]:
@@ -259,3 +269,97 @@ def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,
         if compute_eer(permuted) <= observed:
             hits += 1
     return (1 + hits) / (1 + num_permutations)
+
+
+# Table readers that build and check one row at a time, reporting the first
+# fault of any kind in line order.  The library parses whole columns; these
+# are the second route for its results and for its error messages.
+
+def _rows(path, expected_fields: int):
+    text = read_utf8(path, TrialFormatError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != expected_fields:
+            raise TrialFormatError(
+                f"{path}:{lineno}: expected {expected_fields} fields, "
+                f"got {len(fields)}")
+        yield fields
+
+
+def read_trials_by_row(path) -> list[Trial]:
+    trials = []
+    seen = set()
+    for fields in _rows(path, 4):
+        trial = Trial(*fields)
+        key = trial[:3]
+        if key in seen:
+            raise TrialFormatError(f"duplicate trial {key} in {path}")
+        seen.add(key)
+        trials.append(trial)
+    return trials
+
+
+def read_scores_by_row(path) -> list[tuple[Trial, float]]:
+    """A score file as (trial, score) pairs."""
+    out = []
+    seen = set()
+    for fields in _rows(path, 5):
+        trial = Trial(*fields[:4])
+        key = trial[:3]
+        if key in seen:
+            raise TrialFormatError(f"duplicate trial {key} in {path}")
+        seen.add(key)
+        try:
+            out.append((trial, float(fields[4])))
+        except ValueError:
+            raise TableNumberError(
+                f"{path}: bad score '{fields[4]}' for trial {key}") from None
+    return out
+
+
+def read_corpus_by_row(path) -> list[CorpusEntry]:
+    entries = []
+    seen = set()
+    for fields in _rows(path, 5):
+        entry = CorpusEntry(*fields)
+        if entry.utterance_id in seen:
+            raise TrialFormatError(
+                f"duplicate utterance '{entry.utterance_id}' in {path}")
+        seen.add(entry.utterance_id)
+        entries.append(entry)
+    return entries
+
+
+def read_enroll_map_by_row(path) -> dict[str, list[str]]:
+    mapping: dict[str, list[str]] = {}
+    for model_id, utt_id in _rows(path, 2):
+        utts = mapping.setdefault(model_id, [])
+        if utt_id in utts:
+            raise TrialFormatError(
+                f"duplicate enrollment ({model_id}, {utt_id}) in {path}")
+        utts.append(utt_id)
+    return mapping
+
+
+def read_embeddings_by_row(path) -> dict[str, EmbeddingRecord]:
+    records: dict[str, EmbeddingRecord] = {}
+    dim = None
+    for fields in _rows(path, 4):
+        utt, speaker, phrase, packed = fields
+        if utt in records:
+            raise TrialFormatError(f"duplicate embedding for '{utt}' in {path}")
+        try:
+            vector = np.array(packed.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise TableNumberError(
+                f"{path}: embedding for '{utt}' has a bad value ({exc})") from None
+        if dim is None:
+            dim = vector.size
+        elif vector.size != dim:
+            raise TrialFormatError(
+                f"embedding for '{utt}' has {vector.size} values, "
+                f"others have {dim}")
+        records[utt] = EmbeddingRecord(utt, speaker, phrase, vector)
+    return records

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     eer_permutation_pvalue, numeric_gradient, relative_error)
+                     eer_permutation_pvalue, numeric_gradient,
+                     read_scores_by_row, relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
@@ -30,7 +31,6 @@ from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN,
 from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
                           compute_min_dcf)
 from tdsv.resnet import Network, NetworkConfig, build_network, count_parameters
-from tdsv.trials import read_scores
 
 
 def _verdict(capsys, ok, line):
@@ -263,7 +263,7 @@ def test_criterion_4_desk_pipeline(capsys, tmp_path):
                  "--embeddings", str(run / "embeddings.tsv"),
                  "--trials", str(corpus / "trials_eval.tsv")]) == 0
 
-    scored = read_scores(run / "eval" / "scores.tsv")
+    scored = read_scores_by_row(run / "eval" / "scores.tsv")
     trials = ScoredTrials(np.array([s for _, s in scored]),
                           np.array([t.label == "tgt" for t, _ in scored]))
     eer = compute_eer(trials)

@@ -87,10 +87,11 @@ class TestPipelineArtifacts:
 
     def test_scores_align_with_trials(self, pipeline):
         corpus, run = pipeline
-        from tdsv.trials import read_scores, read_trials
+        from helpers import read_scores_by_row
+        from tdsv.trials import read_trials
 
         trials = read_trials(corpus / "trials_eval.tsv")
-        scored = read_scores(run / "eval" / "scores.tsv")
+        scored = read_scores_by_row(run / "eval" / "scores.tsv")
         assert [t.key for t, _ in scored] == [t.key for t in trials]
         assert all(np.isfinite(s) for _, s in scored)
 
@@ -126,10 +127,10 @@ class TestPipelineArtifacts:
 
     def test_fusion_artifacts(self, pipeline):
         _, run = pipeline
-        from tdsv.trials import read_scores
+        from helpers import read_scores_by_row
 
-        fused = read_scores(run / "fused" / "fused_scores.tsv")
-        evaled = read_scores(run / "eval" / "scores.tsv")
+        fused = read_scores_by_row(run / "fused" / "fused_scores.tsv")
+        evaled = read_scores_by_row(run / "eval" / "scores.tsv")
         assert [t.key for t, _ in fused] == [t.key for t, _ in evaled]
         assert (run / "fused" / "fusion" / "manifest.txt").exists()
 
@@ -282,6 +283,36 @@ class TestCliContracts:
         assert rc == 2
         assert "one file per system" in capsys.readouterr().err
 
+    def test_fuse_aligns_systems_on_trial_keys(self, pipeline, tmp_path, capsys):
+        _, run = pipeline
+        cfg = tmp_path / "fuse.cfg"
+        cfg.write_text(f"{HEADER}\nfusion_l2=0.1\n")
+        lines = {split: (run / split / "scores.tsv").read_text().splitlines()
+                 for split in ("dev", "eval")}
+        for order, take in (("same", lambda ls: ls), ("reversed", reversed)):
+            for split, ls in lines.items():
+                (tmp_path / f"{split}_{order}.tsv").write_text(
+                    "\n".join(take(ls)) + "\n")
+            assert main(["--config", str(cfg),
+                         "--output-dir", str(tmp_path / order), "fuse",
+                         "--dev", str(run / "dev" / "scores.tsv"),
+                         str(tmp_path / f"dev_{order}.tsv"),
+                         "--inputs", str(run / "eval" / "scores.tsv"),
+                         str(tmp_path / f"eval_{order}.tsv")]) == 0
+        # rows follow the first system's file; the second is matched by key
+        assert ((tmp_path / "same" / "fused_scores.tsv").read_bytes()
+                == (tmp_path / "reversed" / "fused_scores.tsv").read_bytes())
+
+        (tmp_path / "short.tsv").write_text("\n".join(lines["eval"][1:]) + "\n")
+        capsys.readouterr()
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "bad"),
+                   "fuse", "--dev", str(run / "dev" / "scores.tsv"),
+                   str(tmp_path / "dev_same.tsv"),
+                   "--inputs", str(run / "eval" / "scores.tsv"),
+                   str(tmp_path / "short.tsv")])
+        assert rc == 2
+        assert "covers different trials" in capsys.readouterr().err
+
     def test_project_too_few_points(self, tmp_path, capsys):
         emb = tmp_path / "embeddings.tsv"
         emb.write_text("u0\ts0\tp0\t1.0 2.0\nu1\ts0\tp0\t2.0 1.0\n")
@@ -418,7 +449,8 @@ class TestCohortSize:
     @pytest.mark.parametrize("size", [3, 5])
     def test_small_cohort_spans_speakers(self, pipeline, tmp_path, size):
         from tdsv.backend import load_backends
-        from tdsv.trials import read_embeddings, read_scores
+        from helpers import read_scores_by_row
+        from tdsv.trials import read_embeddings
 
         _, run = pipeline
         assert self._score(pipeline, tmp_path, size) == 0
@@ -433,7 +465,7 @@ class TestCohortSize:
             assert len(set(speakers)) == len({records[u].speaker_id
                                               for u in full[phrase].cohort_ids})
             assert np.array_equal(b.wccn.matrix, full[phrase].wccn.matrix)
-        assert all(np.isfinite(s) for _, s in read_scores(tmp_path / "scores.tsv"))
+        assert all(np.isfinite(s) for _, s in read_scores_by_row(tmp_path / "scores.tsv"))
 
     def test_at_least_background_count_is_all(self, pipeline, tmp_path):
         _, run = pipeline

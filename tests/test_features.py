@@ -87,6 +87,23 @@ class TestReadWav:
         with pytest.raises(AudioFormatError, match="empty"):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut", ["no_data", "short_data"])
+    def test_rejects_truncated_data(self, tmp_path, cut):
+        path = tmp_path / "t.wav"
+        _write_pcm(path, np.ones(100, dtype="<i2"))
+        raw = path.read_bytes()
+        assert raw[36:40] == b"data" and len(raw) == 44 + 200
+        if cut == "no_data":  # the header promises 100 frames, none follow
+            raw = raw[:44]
+        else:  # the data chunk claims 10**6 bytes and holds 200
+            raw = raw[:40] + struct.pack("<I", 10**6) + raw[44:]
+        path.write_bytes(raw)
+        with pytest.raises(AudioFormatError) as exc:
+            read_wav(path)
+        message = str(exc.value)
+        assert str(path) in message and "truncated" in message
+        assert "\n" not in message
+
 
 class TestSpectrogram:
     def test_single_frame(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     eer_permutation_pvalue, loop_eer_from_points,
-                     probit_csv_lines_oracle)
+                     det_csv_lines_oracle, eer_permutation_pvalue,
+                     loop_eer_from_points, probit_csv_lines_oracle)
 from tdsv.errors import DegenerateError, DimensionError, NumericalError
 from tdsv.metrics import (DetCurve, ScoredTrials, _eer_from_points, compute_det,
                           compute_eer, compute_min_dcf, det_csv_lines,
@@ -165,6 +165,18 @@ class TestVectorizedAgainstLoops:
         assert (_eer_from_points(det.p_miss, det.p_fa)
                 == loop_eer_from_points(det.p_miss, det.p_fa))
         assert det_probit_csv_lines(det) == probit_csv_lines_oracle(det)
+
+    @given(st.one_of(
+        st.sampled_from(FIXTURES),
+        TIED_TRIALS.map(lambda rows: ScoredTrials(
+            np.array([s / 4.0 for s, _ in rows]),
+            np.array([label for _, label in rows]))),
+        st.integers(0, 10_000).map(
+            lambda seed: _random_trials(np.random.default_rng(seed)))))
+    @settings(max_examples=150, deadline=None)
+    def test_det_csv_lines(self, trials):
+        det = compute_det(trials)
+        assert det_csv_lines(det) == det_csv_lines_oracle(det)
 
     def test_curves_that_never_cross(self):
         with pytest.raises(NumericalError, match="never cross"):

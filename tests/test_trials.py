@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (read_corpus_by_row, read_embeddings_by_row,
+                     read_enroll_map_by_row, read_scores_by_row,
+                     read_trials_by_row)
 from tdsv.errors import TableNumberError, TrialFormatError
-from tdsv.trials import (CorpusEntry, EmbeddingRecord, Trial, read_corpus,
-                         read_embeddings, read_enroll_map, read_scores,
-                         read_trials, write_corpus, write_embeddings,
-                         write_enroll_map, write_scores, write_trials)
+from tdsv.trials import (LABELS, CorpusEntry, EmbeddingRecord, ScoreTable,
+                         Trial, read_corpus, read_embeddings, read_enroll_map,
+                         read_scores, read_trials, write_corpus,
+                         write_embeddings, write_enroll_map, write_scores,
+                         write_trials)
 
 TRIALS = [Trial("s0-p0", "u1", "p0", "tgt"),
           Trial("s0-p0", "u2", "p0", "non"),
@@ -103,7 +107,7 @@ class TestScores:
     def test_round_trip_with_fixed_precision(self, tmp_path):
         path = tmp_path / "scores.tsv"
         write_scores(path, [(TRIALS[0], 0.123456789), (TRIALS[1], -1.5)])
-        back = read_scores(path)
+        back = read_scores_by_row(path)
         assert back[0][0] == TRIALS[0]
         assert back[0][1] == pytest.approx(0.123457, abs=1e-9)
         assert back[1][1] == -1.5
@@ -219,3 +223,131 @@ class TestNumberParsing:
         assert isinstance(exc.value, TrialFormatError)
         assert isinstance(exc.value, ValueError)
         assert str(path) in str(exc.value) and "'1,5'" in str(exc.value)
+
+
+# Column readers against the row-by-row oracles in helpers: the same result
+# on every well-formed table and the same error on every single-fault one.
+
+def _ids(alphabet):
+    # few letters and short ids, so keys that share a concatenation, such as
+    # ("a", "aé") and ("aa", "é"), turn up often
+    return st.text(alphabet=alphabet, min_size=1, max_size=2)
+
+
+_NUMBER = st.one_of(
+    st.tuples(st.floats(width=64), st.sampled_from(_FORMATS)).map(
+        lambda p: p[1](p[0])),
+    st.sampled_from(_ODD_TOKENS))
+
+
+def _table_rows(kind, ident, min_size=0):
+    """Rows of fields with unique keys; ``ident`` draws one id field."""
+    size = dict(min_size=min_size, max_size=12)
+    if kind == "trials":
+        return st.lists(st.tuples(ident, ident, ident, st.sampled_from(LABELS)),
+                        unique_by=lambda r: r[:3], **size)
+    if kind == "scores":
+        return st.lists(st.tuples(ident, ident, ident, st.sampled_from(LABELS),
+                                  _NUMBER), unique_by=lambda r: r[:3], **size)
+    if kind == "corpus":
+        return st.lists(st.tuples(ident, ident, ident,
+                                  st.sampled_from(("bg", "dev", "eval")), ident),
+                        unique_by=lambda r: r[0], **size)
+    if kind == "enroll":
+        return st.lists(st.tuples(ident, ident), unique=True, **size)
+    return st.integers(1, 4).flatmap(lambda dim: st.lists(st.tuples(
+        ident, ident, ident,
+        st.lists(_NUMBER, min_size=dim, max_size=dim).map(" ".join)),
+        unique_by=lambda r: r[0], **size))
+
+
+READERS = {"trials": (read_trials, read_trials_by_row),
+           "scores": (read_scores, read_scores_by_row),
+           "corpus": (read_corpus, read_corpus_by_row),
+           "enroll": (read_enroll_map, read_enroll_map_by_row),
+           "embeddings": (read_embeddings, read_embeddings_by_row)}
+KEY_FIELDS = {"trials": 3, "scores": 3, "corpus": 1, "enroll": 2,
+              "embeddings": 1}
+
+
+def _read_both(data, kind, rows):
+    """Write rows with blank lines drawn in between; run reader and oracle."""
+    lines = ["\t".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(("", "  ", " \t "))))
+    end = data.draw(st.sampled_from(("", "\n")))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.tsv"
+        path.write_text("\n".join(lines) + end, encoding="utf-8")
+        for read in READERS[kind]:
+            try:
+                results.append(read(path))
+            except TrialFormatError as exc:
+                results.append(exc)
+    return results
+
+
+def _assert_same_table(kind, got, want):
+    if kind == "scores":
+        assert isinstance(got, ScoreTable)
+        assert all(type(column) is list for column in got[:4])
+        assert list(zip(*got[:4])) == [tuple(t) for t, _ in want]
+        expected = np.array([s for _, s in want], dtype=np.float64)
+        assert got.scores.dtype == np.float64
+        assert got.scores.tobytes() == expected.tobytes()
+    elif kind == "embeddings":
+        assert list(got) == list(want)
+        for utt, rec in want.items():
+            assert got[utt].vector.dtype == np.float64
+            assert got[utt].vector.tobytes() == rec.vector.tobytes()
+            assert (got[utt].utterance_id, got[utt].speaker_id,
+                    got[utt].phrase_id) == (rec.utterance_id, rec.speaker_id,
+                                            rec.phrase_id)
+    else:
+        assert got == want
+        if kind == "trials":
+            assert all(type(t) is Trial for t in got)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_columns_match_row_oracle(kind, data):
+    # ids may hold spaces, so a row of blank fields is a blank line to both
+    rows = data.draw(_table_rows(kind, _ids("aé ")))
+    got, want = _read_both(data, kind, rows)
+    assert not isinstance(want, Exception)
+    _assert_same_table(kind, got, want)
+
+
+FAULTS = [(kind, fault) for kind in READERS
+          for fault in ("fields", "label", "duplicate", "number")
+          if (fault != "label" or kind in ("trials", "scores"))
+          and (fault != "number" or kind in ("scores", "embeddings"))]
+
+
+@pytest.mark.parametrize("kind, fault", FAULTS,
+                         ids=[f"{k}-{f}" for k, f in FAULTS])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_single_fault_raises_like_row_oracle(kind, fault, data):
+    rows = [list(r) for r in data.draw(_table_rows(kind, _ids("aé"), 2))]
+    k = data.draw(st.integers(1, len(rows) - 1))
+    if fault == "fields":
+        rows[k] = rows[k] + ["x"] if data.draw(st.booleans()) else rows[k][:-1]
+    elif fault == "label":
+        rows[k][3] = "target"
+    elif fault == "duplicate":
+        j = data.draw(st.integers(0, k - 1))
+        rows[k][:KEY_FIELDS[kind]] = rows[j][:KEY_FIELDS[kind]]
+    elif kind == "scores":
+        rows[k][4] = "1,5"
+    else:
+        tokens = rows[k][3].split(" ")
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = "abc"
+        rows[k][3] = " ".join(tokens)
+    got, want = _read_both(data, kind, rows)
+    assert isinstance(want, TrialFormatError)
+    assert type(got) is type(want) and str(got) == str(want)
