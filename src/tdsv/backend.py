@@ -280,18 +280,20 @@ def enroll_model_vector(utterance_vectors: list[np.ndarray]) -> np.ndarray:
     return np.stack([length_normalize(v) for v in utterance_vectors]).mean(axis=0)
 
 
-def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
+def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
                  backends: dict[str, "PhraseBackend"], *,
                  snorm: bool = True) -> list[float]:
-    """Cosine scores in WCCN space, optionally s-normalized per phrase.
+    """Cosine scores of a ``TrialTable`` in WCCN space, optionally
+    s-normalized per phrase.
 
     Phrase isolation is enforced: a trial's model, test utterance, and
-    backend must all carry the trial's phrase id.  Every trial is checked
-    before any scoring.  Each distinct model and test vector is then
-    transformed into its phrase's WCCN space once; the s-norm statistics take
-    one cohort product per phrase for its models and one for its test
-    utterances, and each raw score is a scalar ``cosine_score`` of two
-    transformed vectors.
+    backend must all carry the trial's phrase id.  Each distinct (model,
+    phrase) pair, then each distinct (test, phrase) pair, is checked in the
+    order the table first names it, before any scoring.  Each distinct model
+    and test vector is then transformed into its phrase's WCCN space once;
+    the s-norm statistics take one cohort product per phrase for its models
+    and one for its test utterances, and each raw score is a scalar
+    ``cosine_score`` of two transformed vectors.
     """
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
@@ -309,30 +311,29 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
         model_phrase[model] = phrases.pop()
         model_vec[model] = enroll_model_vector([r.vector for r in recs])
 
-    # per phrase, the vectors of the models and test utterances its trials use
+    # per phrase, the vectors of the models and test utterances its trials
+    # use, in the order the table first names them
     needed: dict[str, tuple[dict, dict]] = {}
-    for trial in trial_list:
-        if trial.phrase_id not in backends:
-            raise UnknownIdError(
-                f"no backend fitted for phrase '{trial.phrase_id}'")
-        if trial.enroll_id not in model_vec:
-            raise UnknownIdError(f"unknown enrollment model '{trial.enroll_id}'")
-        if model_phrase[trial.enroll_id] != trial.phrase_id:
+    for model, phrase in dict.fromkeys(zip(table.enroll_ids, table.phrase_ids)):
+        if phrase not in backends:
+            raise UnknownIdError(f"no backend fitted for phrase '{phrase}'")
+        if model not in model_vec:
+            raise UnknownIdError(f"unknown enrollment model '{model}'")
+        if model_phrase[model] != phrase:
             raise InsufficientDataError(
-                f"model '{trial.enroll_id}' is phrase "
-                f"'{model_phrase[trial.enroll_id]}' but trial says "
-                f"'{trial.phrase_id}'")
-        if trial.test_id not in records:
+                f"model '{model}' is phrase '{model_phrase[model]}' but "
+                f"trial says '{phrase}'")
+        needed.setdefault(phrase, ({}, {}))[0][model] = model_vec[model]
+    for test_id, phrase in dict.fromkeys(zip(table.test_ids, table.phrase_ids)):
+        if test_id not in records:
             raise UnknownIdError(
-                f"no embedding for test utterance '{trial.test_id}'")
-        test = records[trial.test_id]
-        if test.phrase_id != trial.phrase_id:
+                f"no embedding for test utterance '{test_id}'")
+        test = records[test_id]
+        if test.phrase_id != phrase:
             raise InsufficientDataError(
-                f"test utterance '{trial.test_id}' is phrase "
-                f"'{test.phrase_id}' but trial says '{trial.phrase_id}'")
-        models, tests = needed.setdefault(trial.phrase_id, ({}, {}))
-        models[trial.enroll_id] = model_vec[trial.enroll_id]
-        tests[trial.test_id] = test.vector
+                f"test utterance '{test_id}' is phrase "
+                f"'{test.phrase_id}' but trial says '{phrase}'")
+        needed[phrase][1][test_id] = test.vector
 
     # a model or test utterance carries one phrase, so its id alone keys it.
     # One matvec per vector, as cosine_score(e1, e2, t) does: a stacked
@@ -352,12 +353,12 @@ def score_trials(trial_list, records: dict, enroll_map: dict[str, list[str]],
                                          backend.cohort, backend.wccn)
                 stats.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
 
-    raw = [cosine_score(model_wccn[t.enroll_id], test_wccn[t.test_id])
-           for t in trial_list]
+    raw = [cosine_score(model_wccn[m], test_wccn[t])
+           for m, t in zip(table.enroll_ids, table.test_ids)]
     if not snorm:
         return raw
-    return [apply_snorm(s, model_stats[t.enroll_id], test_stats[t.test_id])
-            for t, s in zip(trial_list, raw)]
+    return [apply_snorm(s, model_stats[m], test_stats[t])
+            for m, t, s in zip(table.enroll_ids, table.test_ids, raw)]
 
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:

@@ -23,11 +23,23 @@ import sys
 import traceback
 from pathlib import Path
 
+
+def _thread_count(text: str) -> int:
+    # OpenBLAS reads 0 or a negative count as "every core"
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 _GLOBAL_FLAGS = (
     ("--config", dict(metavar="FILE", help="pipeline config file (svconfig 1)")),
     ("--seed", dict(type=int, metavar="N", help="master RNG seed (default 0)")),
-    ("--threads", dict(type=int, metavar="N",
-                       help="BLAS/OpenMP thread cap (default 1)")),
+    ("--threads", dict(type=_thread_count, metavar="N",
+                       help="BLAS/OpenMP thread cap, >= 1 (default 1)")),
     ("--output-dir", dict(metavar="DIR", help="artifact directory (default .)")),
 )
 
@@ -191,7 +203,7 @@ def cmd_score(args) -> int:
     corpus_dir = Path(args.corpus)
     records = read_embeddings(args.embeddings)
     enroll = read_enroll_map(corpus_dir / "enroll.tsv")
-    trial_list = read_trials(args.trials)
+    table = read_trials(args.trials)
     out = _out(args)
 
     if args.backend:
@@ -204,29 +216,25 @@ def cmd_score(args) -> int:
         backends = fit_backends(records, background, cfg.cohort_size)
         save_backends(out / "backend", backends)
 
-    scores = score_trials(trial_list, records, enroll, backends,
-                          snorm=cfg.snorm)
-    write_scores(out / "scores.tsv", zip(trial_list, scores))
+    scores = score_trials(table, records, enroll, backends, snorm=cfg.snorm)
+    write_scores(out / "scores.tsv", table, scores)
     print(f"scored {len(scores)} trials to {out / 'scores.tsv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from .fileio import atomic_write_text
     from .metrics import (ScoredTrials, compute_det, det_csv_lines,
                           det_probit_csv_lines, summary_lines)
-    from .trials import read_scores
+    from .trials import labeled_targets, read_scores
 
-    table = read_scores(args.scores)
-    labels = np.array(table.labels)
-    keep = labels != "unk"
+    table, scores = read_scores(args.scores)
+    keep, is_target = labeled_targets(table.labels)
     if not keep.any():
         from .errors import DegenerateError
 
         raise DegenerateError(f"no labeled trials in {args.scores}")
-    trials = ScoredTrials(table.scores[keep], labels[keep] == "tgt")
+    trials = ScoredTrials(scores[keep], is_target)
     summary = summary_lines(trials, p_tar=args.p_tar)
     det = compute_det(trials)
     out = _out(args)
@@ -246,24 +254,22 @@ def _aligned_scores(paths):
     from .errors import TrialFormatError
     from .trials import read_scores
 
-    baseline = read_scores(paths[0])
+    baseline, scores = read_scores(paths[0])
     keys = list(zip(*baseline[:3]))
-    columns = [baseline.scores]
+    columns = [scores]
     for path in paths[1:]:
-        table = read_scores(path)
+        table, scores = read_scores(path)
         row_of = {key: i for i, key in enumerate(zip(*table[:3]))}
         if row_of.keys() != set(keys):
             raise TrialFormatError(
                 f"{path} covers different trials than {paths[0]}")
-        columns.append(table.scores[[row_of[k] for k in keys]])
+        columns.append(scores[[row_of[k] for k in keys]])
     return baseline, np.stack(columns, axis=1)
 
 
 def cmd_fuse(args) -> int:
-    import numpy as np
-
     from .backend import apply_fusion, fit_fusion, save_fusion
-    from .trials import write_scores
+    from .trials import labeled_targets, write_scores
 
     cfg = _load_pipeline_config(args)
     if len(args.dev) != len(args.inputs):
@@ -271,9 +277,7 @@ def cmd_fuse(args) -> int:
 
         raise ConfigError("--dev and --inputs need one file per system")
     dev_table, dev_scores = _aligned_scores(args.dev)
-    dev_labels = np.array(dev_table.labels)
-    keep = dev_labels != "unk"
-    labels = dev_labels[keep] == "tgt"
+    keep, labels = labeled_targets(dev_table.labels)
     model = fit_fusion(dev_scores[keep], labels, l2=cfg.fusion_l2)
     dev_fused = apply_fusion(model, dev_scores[keep])
     if cfg.fusion_l2 == 0.0 and dev_fused[labels].min() > dev_fused[~labels].max():
@@ -283,7 +287,7 @@ def cmd_fuse(args) -> int:
     in_table, in_scores = _aligned_scores(args.inputs)
     fused = apply_fusion(model, in_scores)
     out = _out(args)
-    write_scores(out / "fused_scores.tsv", zip(zip(*in_table[:4]), fused))
+    write_scores(out / "fused_scores.tsv", in_table, fused)
     save_fusion(out / "fusion", model)
     weights = " ".join(f"{w:+.4f}" for w in model.weights)
     print(f"fused {len(fused)} trials; weights [{weights}] "

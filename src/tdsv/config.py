@@ -7,6 +7,7 @@ keys, malformed values, and out-of-range settings are rejected at load time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -34,14 +35,15 @@ class PipelineConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.cohort_size < 0 or self.cohort_size == 1:
             raise ConfigError(
                 f"cohort_size must be 0 (all) or >= 2, got {self.cohort_size}")
-        if self.fusion_l2 < 0.0:
-            raise ConfigError(f"fusion_l2 must be >= 0, got {self.fusion_l2}")
+        if not 0.0 <= self.fusion_l2 < math.inf:
+            raise ConfigError(
+                f"fusion_l2 must be finite and >= 0, got {self.fusion_l2}")
 
 
 def _parse_bool(value: str) -> bool:

@@ -105,6 +105,13 @@ class Conv2D(_Trainable):
         cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
         return cols.reshape(n * out_h * out_w, kh * kw * c)
 
+    def _weight_matrix(self):
+        """The weights as the [kh*kw*in_ch, out_ch] GEMM operand, rows in the
+        (i, j, c) order of the im2col columns."""
+        _, _, kh, kw = self.weight.shape
+        return self.weight.transpose(2, 3, 1, 0).reshape(
+            kh * kw * self.in_channels, self.out_channels)
+
     def forward(self, x):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise DimensionError(
@@ -116,9 +123,7 @@ class Conv2D(_Trainable):
         pl, pr, out_w = same_padding(w, kw, sw)
         xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         cols = self._im2col(xpad, out_h, out_w)
-        wmat = self.weight.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
-                                                         self.out_channels)
-        out = cols @ wmat
+        out = cols @ self._weight_matrix()
         out += self.bias
         self._cache = (xpad, (n, h, w), (pt, pl), (out_h, out_w))
         return _check("conv2d", out.reshape(n, out_h, out_w, self.out_channels))
@@ -147,9 +152,7 @@ class Conv2D(_Trainable):
         xpad, (n, h, w), (pt, pl), (out_h, out_w) = self._cache
         _, _, kh, kw = self.weight.shape
         sh, sw = self.stride
-        wmat = self.weight.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
-                                                         self.out_channels)
-        gcols = (g2 @ wmat.T).reshape(n, out_h, out_w, kh, kw, self.in_channels)
+        gcols = (g2 @ self._weight_matrix().T).reshape(n, out_h, out_w, kh, kw, self.in_channels)
         gxpad = np.zeros_like(xpad)
         for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
             gxpad[:, sl[0], sl[1], :] += gcols[:, :, :, i, j, :]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import SAMPLE_RATE, write_wav
-from .trials import (CorpusEntry, Trial, write_corpus, write_enroll_map,
+from .trials import (CorpusEntry, TrialTable, write_corpus, write_enroll_map,
                      write_trials)
 
 F0_RANGE = (95.0, 270.0)
@@ -187,13 +187,13 @@ def generate_corpus(spec: SynthSpec, out_dir) -> list[CorpusEntry]:
 
     enroll, trial_files = build_protocol(entries)
     write_enroll_map(root / "enroll.tsv", enroll)
-    for split, trial_list in trial_files.items():
-        write_trials(root / f"trials_{split}.tsv", trial_list)
+    for split, table in trial_files.items():
+        write_trials(root / f"trials_{split}.tsv", table)
     return entries
 
 
 def build_protocol(entries: list[CorpusEntry]
-                   ) -> tuple[dict[str, list[str]], dict[str, list[Trial]]]:
+                   ) -> tuple[dict[str, list[str]], dict[str, TrialTable]]:
     """Enrollment models and within-phrase trial lists for dev and eval.
 
     For each non-background (speaker, phrase) pair the first
@@ -218,15 +218,14 @@ def build_protocol(entries: list[CorpusEntry]
 
     model_split = {f"{e.speaker_id}-{e.phrase_id}": e.split
                    for e in entries if e.split != "bg"}
-    trial_files: dict[str, list[Trial]] = {}
+    trial_files: dict[str, TrialTable] = {}
     for split in ("dev", "eval"):
-        trial_list = []
-        for model in sorted(m for m, s in model_split.items() if s == split):
-            spk, phr = model.split("-")
-            for e in tests[split]:
-                if e.phrase_id != phr:
-                    continue
-                label = "tgt" if e.speaker_id == spk else "non"
-                trial_list.append(Trial(model, e.utterance_id, phr, label))
-        trial_files[split] = trial_list
+        pairs = [(model, e)
+                 for model in sorted(m for m, s in model_split.items() if s == split)
+                 for e in tests[split] if model.split("-")[1] == e.phrase_id]
+        trial_files[split] = TrialTable(
+            [model for model, _ in pairs], [e.utterance_id for _, e in pairs],
+            [e.phrase_id for _, e in pairs],
+            ["tgt" if model == f"{e.speaker_id}-{e.phrase_id}" else "non"
+             for model, e in pairs])
     return by_model, trial_files

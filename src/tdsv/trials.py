@@ -14,9 +14,10 @@ through ``_read_columns``: one split of the whole text into columns, checked
 column by column.  So a file with several faults reports the first kind in
 this order, and within a kind its first offending line: field count,
 unknown label, duplicate key, then a bad number or an embedding of the wrong
-size, whichever comes first.  ``read_scores`` returns columns
-(a ``ScoreTable``); the other readers build one object per row only where
-their return type holds one.
+size, whichever comes first.  Trial and score files are held as one
+``TrialTable`` of columns, with the scores beside it as one float64 array;
+the other readers build one object per row only where their return type
+holds one.
 """
 
 from __future__ import annotations
@@ -33,29 +34,24 @@ from .fileio import atomic_write_text, read_utf8
 LABELS = ("tgt", "non", "unk")
 
 
-class _TrialFields(NamedTuple):
-    enroll_id: str
-    test_id: str
-    phrase_id: str
-    label: str  # tgt | non | unk
+class TrialTable(NamedTuple):
+    """A trial list as columns, in file order.  ``len()`` counts trials."""
+
+    enroll_ids: list[str]
+    test_ids: list[str]
+    phrase_ids: list[str]
+    labels: list[str]  # tgt | non | unk
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-class Trial(_TrialFields):
-    """One trial line: an immutable, hashable 4-tuple whose label is checked
-    on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, enroll_id: str, test_id: str, phrase_id: str, label: str):
-        if label not in LABELS:
-            raise TrialFormatError(f"unknown trial label '{label}'")
-        # tuple.__new__ directly: the generated NamedTuple __new__ would add
-        # a second Python-level call to every row a reader builds
-        return tuple.__new__(cls, (enroll_id, test_id, phrase_id, label))
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return self[:3]
+def labeled_targets(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which trials carry a label (not ``unk``), and which of those are
+    targets (``tgt``)."""
+    labels = np.array(labels)
+    keep = labels != "unk"
+    return keep, labels[keep] == "tgt"
 
 
 @dataclass(frozen=True)
@@ -117,30 +113,18 @@ def _check_trial_columns(path, enroll, test, phrase, labels) -> None:
         raise TrialFormatError(f"duplicate trial {key} in {path}")
 
 
-def read_trials(path) -> list[Trial]:
-    columns = _read_columns(path, 4)
-    _check_trial_columns(path, *columns)
-    # labels checked above: skip Trial.__new__'s per-row check
-    return list(map(tuple.__new__, repeat(Trial), zip(*columns)))
+def read_trials(path) -> TrialTable:
+    table = TrialTable(*_read_columns(path, 4))
+    _check_trial_columns(path, *table)
+    return table
 
 
-def write_trials(path, trials: list[Trial]) -> None:
-    lines = [f"{t.enroll_id}\t{t.test_id}\t{t.phrase_id}\t{t.label}"
-             for t in trials]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_trials(path, table: TrialTable) -> None:
+    atomic_write_text(path, "\n".join(map("\t".join, zip(*table))) + "\n")
 
 
-class ScoreTable(NamedTuple):
-    """A score file as columns, in file order."""
-
-    enroll_ids: list[str]
-    test_ids: list[str]
-    phrase_ids: list[str]
-    labels: list[str]  # tgt | non | unk
-    scores: np.ndarray  # float64, parsed like float()
-
-
-def read_scores(path) -> ScoreTable:
+def read_scores(path) -> tuple[TrialTable, np.ndarray]:
+    """A score file's trials and its scores as float64, parsed like float()."""
     *fields, numbers = _read_columns(path, 5)
     _check_trial_columns(path, *fields)
     try:
@@ -154,13 +138,12 @@ def read_scores(path) -> ScoreTable:
                 raise TableNumberError(
                     f"{path}: bad score '{number}' for trial {key}") from None
         raise
-    return ScoreTable(*fields, scores)
+    return TrialTable(*fields), scores
 
 
-def write_scores(path, scored) -> None:
-    """Write (trial, score) pairs; a trial is any 4-tuple of fields."""
+def write_scores(path, table: TrialTable, scores) -> None:
     text = "".join(f"{e}\t{t}\t{p}\t{label}\t{s:.6f}\n"
-                   for (e, t, p, label), s in scored)
+                   for (e, t, p, label), s in zip(zip(*table), scores))
     atomic_write_text(path, text or "\n")
 
 

@@ -5,6 +5,9 @@ summation) and must stay independent of the code under test: these functions
 are the second route in every dual-route check.
 """
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -12,7 +15,7 @@ from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError, TableNumberError, TrialFormatError
 from tdsv.fileio import read_utf8
 from tdsv.metrics import DetCurve, ScoredTrials, compute_eer
-from tdsv.trials import CorpusEntry, EmbeddingRecord, Trial
+from tdsv.trials import LABELS, CorpusEntry, EmbeddingRecord, TrialTable
 
 
 def relative_error(a, b, floor=1e-12):
@@ -288,35 +291,47 @@ def _rows(path, expected_fields: int):
         yield fields
 
 
-def read_trials_by_row(path) -> list[Trial]:
-    trials = []
+def trial_table(rows) -> TrialTable:
+    """A TrialTable from (model, test, phrase, label) rows."""
+    columns = ([], [], [], [])
+    for row in rows:
+        for column, field in zip(columns, row):
+            column.append(field)
+    return TrialTable(*columns)
+
+
+def _trial_row(path, fields, seen):
+    if fields[3] not in LABELS:
+        raise TrialFormatError(f"unknown trial label '{fields[3]}'")
+    key = tuple(fields[:3])
+    if key in seen:
+        raise TrialFormatError(f"duplicate trial {key} in {path}")
+    seen.add(key)
+    return key
+
+
+def read_trials_by_row(path) -> TrialTable:
+    rows = []
     seen = set()
     for fields in _rows(path, 4):
-        trial = Trial(*fields)
-        key = trial[:3]
-        if key in seen:
-            raise TrialFormatError(f"duplicate trial {key} in {path}")
-        seen.add(key)
-        trials.append(trial)
-    return trials
+        _trial_row(path, fields, seen)
+        rows.append(fields)
+    return trial_table(rows)
 
 
-def read_scores_by_row(path) -> list[tuple[Trial, float]]:
-    """A score file as (trial, score) pairs."""
-    out = []
+def read_scores_by_row(path) -> tuple[TrialTable, list[float]]:
+    """A score file's trials and its scores, parsed one line at a time."""
+    rows, scores = [], []
     seen = set()
     for fields in _rows(path, 5):
-        trial = Trial(*fields[:4])
-        key = trial[:3]
-        if key in seen:
-            raise TrialFormatError(f"duplicate trial {key} in {path}")
-        seen.add(key)
+        key = _trial_row(path, fields, seen)
         try:
-            out.append((trial, float(fields[4])))
+            scores.append(float(fields[4]))
         except ValueError:
             raise TableNumberError(
                 f"{path}: bad score '{fields[4]}' for trial {key}") from None
-    return out
+        rows.append(fields[:4])
+    return trial_table(rows), scores
 
 
 def read_corpus_by_row(path) -> list[CorpusEntry]:
@@ -363,3 +378,46 @@ def read_embeddings_by_row(path) -> dict[str, EmbeddingRecord]:
                 f"others have {dim}")
         records[utt] = EmbeddingRecord(utt, speaker, phrase, vector)
     return records
+
+
+# The desk run's golden bytes: full sha256 digests, and the environment they
+# hold in, since bit-exactness rests on how numpy and the BLAS accumulate.
+
+GOLDEN_FILES = ("training_log.csv", "embeddings.tsv", "eval/scores.tsv")
+
+
+def tree_sha256(root) -> str:
+    """sha256 over a directory's files: each relative path in sorted order,
+    its byte count, then its bytes."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*") if p.is_file()):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\n{len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def desk_digests(run) -> dict[str, str]:
+    """The golden digests of a desk run directory."""
+    run = Path(run)
+    digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+               for name in GOLDEN_FILES}
+    digests["model/"] = tree_sha256(run / "model")
+    return digests
+
+
+def golden_environment() -> dict[str, str]:
+    """numpy version, build BLAS, and the highest CPU dispatch target.  A
+    numpy older than 2.0 has neither probe, so only its version is given."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (ImportError, TypeError):
+        return {"numpy": np.__version__}
+    targets = [t for t in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(t)]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "cpu_dispatch": targets[-1] if targets else "baseline"}

@@ -13,15 +13,17 @@ scrape shows the verdicts even without the pytest summary.  The checks:
   8 determinism             same-seed reruns byte-identical
 """
 
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     eer_permutation_pvalue, numeric_gradient,
-                     read_scores_by_row, relative_error)
+                     desk_digests, eer_permutation_pvalue, golden_environment,
+                     numeric_gradient, read_scores_by_row, relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
@@ -263,16 +265,31 @@ def test_criterion_4_desk_pipeline(capsys, tmp_path):
                  "--embeddings", str(run / "embeddings.tsv"),
                  "--trials", str(corpus / "trials_eval.tsv")]) == 0
 
-    scored = read_scores_by_row(run / "eval" / "scores.tsv")
-    trials = ScoredTrials(np.array([s for _, s in scored]),
-                          np.array([t.label == "tgt" for t, _ in scored]))
+    table, scores = read_scores_by_row(run / "eval" / "scores.tsv")
+    trials = ScoredTrials(np.array(scores), np.array(table.labels) == "tgt")
     eer = compute_eer(trials)
     pvalue = eer_permutation_pvalue(trials, num_permutations=199, seed=0)
 
-    ok = _verdict(capsys, eer < 0.10 and pvalue <= 0.01 and train_s < 1200.0,
+    # the golden bytes hold only where numpy and the BLAS accumulate alike
+    golden = json.loads((Path(__file__).parent / "golden_desk.json").read_text())
+    env = golden_environment()
+    differs = [k for k, v in golden["environment"].items() if env.get(k) != v]
+    if differs:
+        golden_ok, golden_note = True, f"golden not checked: {differs[0]} differs"
+    else:
+        digests = desk_digests(run)
+        moved = [name for name, digest in golden["digests"].items()
+                 if digests[name] != digest]
+        golden_ok = not moved
+        golden_note = ("golden digests match" if golden_ok
+                       else f"golden digests differ: {', '.join(moved)}")
+
+    ok = _verdict(capsys, (eer < 0.10 and pvalue <= 0.01 and train_s < 1200.0
+                           and golden_ok),
                   f"criterion 4, desk pipeline: eval-split EER {eer:.4f} < "
                   f"0.10; label-permutation p {pvalue:.4f} <= 0.01 (199 "
-                  f"shuffles); training {train_s:.0f}s < 1200s at 30 epochs")
+                  f"shuffles); training {train_s:.0f}s < 1200s at 30 epochs; "
+                  f"{golden_note}")
     assert ok
 
 

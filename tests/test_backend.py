@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (cohort_scores_oracle, cohort_stats_oracle,
                      gradient_ascent_fusion, pca_variance_oracle,
-                     relative_error)
+                     relative_error, trial_table)
 from tdsv import backend as backend_module
 from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           apply_snorm, cohort_scores, cohort_stats,
@@ -27,7 +27,7 @@ from tdsv.errors import (DegenerateError, DimensionError,
                          UnknownIdError)
 from tdsv.fileio import write_tensor
 from tdsv.metrics import ScoredTrials, compute_eer
-from tdsv.trials import EmbeddingRecord, Trial
+from tdsv.trials import EmbeddingRecord
 
 
 def _random_spd(rng, d):
@@ -456,10 +456,10 @@ class TestPhraseGlue:
         backends = fit_backends(records, cohort)
         enroll = {f"{spk}-p0": [f"{spk}_p0_0", f"{spk}_p0_1"]
                   for spk in ("s0", "s1", "s2")}
-        trials = [Trial("s0-p0", "s0_p0_2", "p0", "tgt"),
-                  Trial("s0-p0", "s1_p0_2", "p0", "non"),
-                  Trial("s1-p0", "s1_p0_2", "p0", "tgt"),
-                  Trial("s1-p0", "s2_p0_2", "p0", "non")]
+        trials = trial_table([("s0-p0", "s0_p0_2", "p0", "tgt"),
+                              ("s0-p0", "s1_p0_2", "p0", "non"),
+                              ("s1-p0", "s1_p0_2", "p0", "tgt"),
+                              ("s1-p0", "s2_p0_2", "p0", "non")])
         return records, backends, enroll, trials
 
     def test_targets_beat_nontargets(self, scored_setup):
@@ -479,33 +479,34 @@ class TestPhraseGlue:
     def test_phrase_isolation_errors(self, scored_setup):
         records, backends, enroll, _ = scored_setup
         with pytest.raises(KeyError, match="backend"):
-            score_trials([Trial("s0-p0", "s0_p0_2", "p9", "tgt")],
+            score_trials(trial_table([("s0-p0", "s0_p0_2", "p9", "tgt")]),
                          records, enroll, backends)
         with pytest.raises(InsufficientDataError, match="phrase"):
-            score_trials([Trial("s0-p0", "s0_p0_2", "p1", "tgt")],
+            score_trials(trial_table([("s0-p0", "s0_p0_2", "p1", "tgt")]),
                          records, enroll, backends)
         with pytest.raises(KeyError, match="unknown enrollment"):
-            score_trials([Trial("s9-p0", "s0_p0_2", "p0", "tgt")],
+            score_trials(trial_table([("s9-p0", "s0_p0_2", "p0", "tgt")]),
                          records, enroll, backends)
         with pytest.raises(KeyError, match="test utterance"):
-            score_trials([Trial("s0-p0", "ghost", "p0", "tgt")],
+            score_trials(trial_table([("s0-p0", "ghost", "p0", "tgt")]),
                          records, enroll, backends)
         with pytest.raises(InsufficientDataError, match="mixes"):
-            score_trials([Trial("s0-p0", "s0_p0_2", "p0", "tgt")], records,
-                         {"s0-p0": ["s0_p0_0", "s0_p1_0"]}, backends)
+            score_trials(trial_table([("s0-p0", "s0_p0_2", "p0", "tgt")]),
+                         records, {"s0-p0": ["s0_p0_0", "s0_p1_0"]}, backends)
 
     def test_id_errors_are_typed(self, scored_setup):
         records, backends, enroll, _ = scored_setup
-        for trial in (Trial("s0-p0", "s0_p0_2", "p9", "tgt"),
-                      Trial("s9-p0", "s0_p0_2", "p0", "tgt"),
-                      Trial("s0-p0", "ghost", "p0", "tgt")):
+        for trial in (("s0-p0", "s0_p0_2", "p9", "tgt"),
+                      ("s9-p0", "s0_p0_2", "p0", "tgt"),
+                      ("s0-p0", "ghost", "p0", "tgt")):
             with pytest.raises(UnknownIdError) as exc:
-                score_trials([trial], records, enroll, backends)
+                score_trials(trial_table([trial]), records, enroll, backends)
             assert isinstance(exc.value, TdsvError)
             assert not str(exc.value).startswith("'")
         with pytest.raises(UnknownIdError,
                            match="'ghost' of model 's0-p0'"):
-            score_trials([], records, {"s0-p0": ["s0_p0_0", "ghost"]}, backends)
+            score_trials(trial_table([]), records,
+                         {"s0-p0": ["s0_p0_0", "ghost"]}, backends)
         with pytest.raises(UnknownIdError, match="'ghost' has no embedding"):
             fit_backends(records, {"p0": ["ghost"]})
 
@@ -540,17 +541,17 @@ class TestPhraseGlue:
         speakers = ("s0", "s1", "s2")
         enroll = {f"{spk}-{p}": [f"{spk}_{p}_0", f"{spk}_{p}_1"]
                   for spk in speakers for p in ("p0", "p1")}
-        trials = [Trial(f"{spk}-{p}", f"{other}_{p}_{k}", p,
-                        "tgt" if spk == other else "non")
-                  for p in ("p1", "p0") for spk in speakers
-                  for other in speakers for k in (2, 3)]
+        trials = trial_table([(f"{spk}-{p}", f"{other}_{p}_{k}", p,
+                               "tgt" if spk == other else "non")
+                              for p in ("p1", "p0") for spk in speakers
+                              for other in speakers for k in (2, 3)])
         scores = score_trials(trials, records, enroll, backends, snorm=True)
         assert len(scores) == len(trials) == 36
-        for trial, got in zip(trials, scores):
-            b = backends[trial.phrase_id]
+        for (model_id, test_id, phrase, _), got in zip(zip(*trials), scores):
+            b = backends[phrase]
             model = enroll_model_vector([records[u].vector
-                                         for u in enroll[trial.enroll_id]])
-            test = records[trial.test_id].vector
+                                         for u in enroll[model_id]])
+            test = records[test_id].vector
             want = apply_snorm(cosine_score(model, test, b.wccn),
                                cohort_stats_oracle(model, b.cohort, b.wccn),
                                cohort_stats_oracle(test, b.cohort, b.wccn))
@@ -567,8 +568,8 @@ class TestPhraseGlue:
             "p1", wccn_from_covariance(np.zeros((8, 8)), "p1"),
             p1.cohort_ids[:2], flat_cohort)}
         with pytest.raises(DegenerateError):
-            score_trials([Trial("s0-p1", "s0_p1_2", "p1", "tgt")], records,
-                         {"s0-p1": ["s0_p1_0"]}, broken)
+            score_trials(trial_table([("s0-p1", "s0_p1_2", "p1", "tgt")]),
+                         records, {"s0-p1": ["s0_p1_0"]}, broken)
         assert (score_trials(trials, records, enroll, broken)
                 == score_trials(trials, records, enroll, backends))
 
@@ -579,7 +580,8 @@ class TestPhraseGlue:
         monkeypatch.setattr(backend_module, "cohort_stats",
                             lambda *args: calls.append(args))
         with pytest.raises(KeyError, match="test utterance"):
-            score_trials(trials + [Trial("s0-p0", "ghost", "p0", "tgt")],
+            score_trials(trial_table([*zip(*trials),
+                                      ("s0-p0", "ghost", "p0", "tgt")]),
                          records, enroll, backends)
         assert calls == []
 
@@ -607,9 +609,9 @@ def _scoring_setup(seed, n_phrases, d):
                              for k in range(int(rng.integers(1, 3)))]
         tests = [add(f"t{k}_{phrase}", f"x{k}", phrase)
                  for k in range(int(rng.integers(1, 5)))]
-        trials += [Trial(model, test, phrase, "unk")
+        trials += [(model, test, phrase, "unk")
                    for model in models for test in tests]
-    trials = [trials[i] for i in rng.permutation(len(trials))]
+    trials = trial_table([trials[i] for i in rng.permutation(len(trials))])
     return records, fit_backends(records, background), enroll, trials
 
 
@@ -631,42 +633,41 @@ class TestScoreTrialsExact:
             # one cohort product per phrase for its models and one for its
             # tests, rows in the order the trial list first names them
             for phrase, b in backends.items():
-                in_phrase = [t for t in trials if t.phrase_id == phrase]
-                for field, vec in (("enroll_id", model_vec), ("test_id", test_vec)):
-                    ids = list(dict.fromkeys(getattr(t, field) for t in in_phrase))
+                in_phrase = [t for t in zip(*trials) if t[2] == phrase]
+                for field, vec in ((0, model_vec), (1, test_vec)):
+                    ids = list(dict.fromkeys(t[field] for t in in_phrase))
                     mu, sigma = cohort_stats(np.stack([vec[i] for i in ids]),
                                              b.cohort, b.wccn)
                     stats.update(((field, i), (float(m), float(s)))
                                  for i, m, s in zip(ids, mu, sigma))
         assert len(got) == len(trials)
-        for trial, score in zip(trials, got):
-            raw = cosine_score(model_vec[trial.enroll_id],
-                               test_vec[trial.test_id],
-                               backends[trial.phrase_id].wccn)
-            want = (apply_snorm(raw, stats["enroll_id", trial.enroll_id],
-                                stats["test_id", trial.test_id])
+        for (model, test, phrase, _), score in zip(zip(*trials), got):
+            raw = cosine_score(model_vec[model], test_vec[test],
+                               backends[phrase].wccn)
+            want = (apply_snorm(raw, stats[0, model], stats[1, test])
                     if snorm else raw)
             assert score == want
 
     def test_shared_test_utterance_transformed_once(self, monkeypatch):
         records, backends, enroll, trials = _scoring_setup(7, 1, 6)
-        shared = trials[0].test_id
-        sharing = [t for t in trials if t.test_id == shared]
+        shared = trials.test_ids[0]
+        sharing = [t for t in zip(*trials) if t[1] == shared]
         assert len(sharing) >= 2
-        alone = [score_trials([t], records, enroll, backends, snorm=False)[0]
+        alone = [score_trials(trial_table([t]), records, enroll, backends,
+                              snorm=False)[0]
                  for t in sharing]
         calls = []
         orig = backend_module.transform
         monkeypatch.setattr(backend_module, "transform",
                             lambda t, e: calls.append(e) or orig(t, e))
-        assert score_trials(sharing, records, enroll, backends,
+        assert score_trials(trial_table(sharing), records, enroll, backends,
                             snorm=False) == alone
         assert len(calls) == len(sharing) + 1  # each model, then the test
 
     @pytest.mark.parametrize("snorm", [False, True])
     def test_zero_norm_vector_rejected(self, snorm):
         records, backends, enroll, trials = _scoring_setup(8, 2, 5)
-        ghost = records[trials[-1].test_id]
+        ghost = records[trials.test_ids[-1]]
         records[ghost.utterance_id] = EmbeddingRecord(
             ghost.utterance_id, ghost.speaker_id, ghost.phrase_id,
             np.zeros_like(ghost.vector))

@@ -17,7 +17,7 @@ import numpy as np
 
 from tdsv import backend, nn
 from tdsv.resnet import Network, NetworkConfig
-from tdsv.trials import EmbeddingRecord, Trial
+from tdsv.trials import EmbeddingRecord, TrialTable
 
 CONFIG = NetworkConfig(input_height=9, input_width=11, stem_channels=2,
                        block_channels=(2, 4), block_strides=(1, 2), num_speakers=2)
@@ -93,9 +93,10 @@ def test_score_trials_call_counts(monkeypatch):
     backends = backend.fit_backends(records, background)
     enroll = {f"s{spk}-{p}": [f"s{spk}_{p}_0", f"s{spk}_{p}_1"]
               for spk in (2, 3) for p in ("p0", "p1")}
-    trials = [Trial(f"s{spk}-{p}", f"s{other}_{p}_{take}", p, "unk")
-              for p in ("p0", "p1") for spk in (2, 3) for other in (2, 3)
-              for take in (2, 3)]
+    trials = TrialTable(*map(list, zip(*[
+        (f"s{spk}-{p}", f"s{other}_{p}_{take}", p, "unk")
+        for p in ("p0", "p1") for spk in (2, 3) for other in (2, 3)
+        for take in (2, 3)])))
     calls = {"cosine_score": 0, "cohort_stats": 0}
 
     def counted(name):

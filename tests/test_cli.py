@@ -91,9 +91,9 @@ class TestPipelineArtifacts:
         from tdsv.trials import read_trials
 
         trials = read_trials(corpus / "trials_eval.tsv")
-        scored = read_scores_by_row(run / "eval" / "scores.tsv")
-        assert [t.key for t, _ in scored] == [t.key for t in trials]
-        assert all(np.isfinite(s) for _, s in scored)
+        table, scores = read_scores_by_row(run / "eval" / "scores.tsv")
+        assert table == trials
+        assert all(np.isfinite(s) for s in scores)
 
     def test_backend_artifact_reused(self, pipeline):
         _, run = pipeline
@@ -129,9 +129,9 @@ class TestPipelineArtifacts:
         _, run = pipeline
         from helpers import read_scores_by_row
 
-        fused = read_scores_by_row(run / "fused" / "fused_scores.tsv")
-        evaled = read_scores_by_row(run / "eval" / "scores.tsv")
-        assert [t.key for t, _ in fused] == [t.key for t, _ in evaled]
+        fused, _ = read_scores_by_row(run / "fused" / "fused_scores.tsv")
+        evaled, _ = read_scores_by_row(run / "eval" / "scores.tsv")
+        assert fused == evaled
         assert (run / "fused" / "fusion" / "manifest.txt").exists()
 
     def test_projection_csv(self, pipeline):
@@ -326,6 +326,20 @@ class TestCliContracts:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--threads", "0", "eval", "--scores", "x"], "0"),
+        (["--threads", "-3", "eval", "--scores", "x"], "-3"),
+        (["eval", "--scores", "x", "--threads", "0"], "0"),
+        (["eval", "--scores", "x", "--threads=-3"], "-3"),
+    ])
+    def test_thread_cap_below_one_is_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("tdsv")
+        assert last.endswith(f"error: argument --threads: must be >= 1, got {value}")
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--scores", "x", "--frobnicate"])
@@ -465,7 +479,8 @@ class TestCohortSize:
             assert len(set(speakers)) == len({records[u].speaker_id
                                               for u in full[phrase].cohort_ids})
             assert np.array_equal(b.wccn.matrix, full[phrase].wccn.matrix)
-        assert all(np.isfinite(s) for _, s in read_scores_by_row(tmp_path / "scores.tsv"))
+        _, scores = read_scores_by_row(tmp_path / "scores.tsv")
+        assert all(np.isfinite(s) for s in scores)
 
     def test_at_least_background_count_is_all(self, pipeline, tmp_path):
         _, run = pipeline

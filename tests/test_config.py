@@ -28,6 +28,10 @@ class TestValidation:
         {"cohort_size": -1},
         {"cohort_size": 1},
         {"fusion_l2": -0.5},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"fusion_l2": float("nan")},
+        {"fusion_l2": float("inf")},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -111,6 +115,11 @@ class TestLoad:
     def test_out_of_range_value_rejected_at_load(self, tmp_path):
         path = _write(tmp_path, f"{HEADER}\nepochs=0\n")
         with pytest.raises(ConfigError, match="epochs"):
+            load_config(path)
+
+    def test_non_finite_value_rejected_at_load(self, tmp_path):
+        path = _write(tmp_path, f"{HEADER}\nfusion_l2=nan\n")
+        with pytest.raises(ConfigError, match="^fusion_l2 must be finite"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):

@@ -99,25 +99,26 @@ class TestProtocol:
 
     def test_trials_within_phrase_and_split(self):
         _, trial_files = build_protocol(self._entries())
-        for split, trial_list in trial_files.items():
-            assert trial_list, split
-            for t in trial_list:
-                assert t.enroll_id.endswith(t.phrase_id)
-                assert t.test_id.split("_")[1] == t.phrase_id
+        for split, table in trial_files.items():
+            assert table, split
+            for model, test, phrase, _ in zip(*table):
+                assert model.endswith(phrase)
+                assert test.split("_")[1] == phrase
 
     def test_both_labels_present_per_phrase(self):
         _, trial_files = build_protocol(self._entries())
         for split in ("dev", "eval"):
             for phr in ("p0", "p1"):
-                labels = {t.label for t in trial_files[split]
-                          if t.phrase_id == phr}
+                table = trial_files[split]
+                labels = {label for phrase, label
+                          in zip(table.phrase_ids, table.labels) if phrase == phr}
                 assert labels == {"tgt", "non"}
 
     def test_enrollment_never_tested(self):
         enroll, trial_files = build_protocol(self._entries())
         enrolled = {u for utts in enroll.values() for u in utts}
-        for trial_list in trial_files.values():
-            assert not enrolled & {t.test_id for t in trial_list}
+        for table in trial_files.values():
+            assert not enrolled & set(table.test_ids)
 
 
 class TestGenerateCorpus:

@@ -1,6 +1,5 @@
 """Tab-separated table IO: trials, scores, corpus, enrollment, embeddings."""
 
-import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -12,17 +11,18 @@ from hypothesis import strategies as st
 
 from helpers import (read_corpus_by_row, read_embeddings_by_row,
                      read_enroll_map_by_row, read_scores_by_row,
-                     read_trials_by_row)
+                     read_trials_by_row, trial_table)
 from tdsv.errors import TableNumberError, TrialFormatError
-from tdsv.trials import (LABELS, CorpusEntry, EmbeddingRecord, ScoreTable,
-                         Trial, read_corpus, read_embeddings, read_enroll_map,
-                         read_scores, read_trials, write_corpus,
-                         write_embeddings, write_enroll_map, write_scores,
-                         write_trials)
+from tdsv.trials import (LABELS, CorpusEntry, EmbeddingRecord, TrialTable,
+                         labeled_targets, read_corpus, read_embeddings,
+                         read_enroll_map, read_scores, read_trials,
+                         write_corpus, write_embeddings, write_enroll_map,
+                         write_scores, write_trials)
 
-TRIALS = [Trial("s0-p0", "u1", "p0", "tgt"),
-          Trial("s0-p0", "u2", "p0", "non"),
-          Trial("s1-p0", "u3", "p0", "unk")]
+ROWS = [("s0-p0", "u1", "p0", "tgt"),
+        ("s0-p0", "u2", "p0", "non"),
+        ("s1-p0", "u3", "p0", "unk")]
+TRIALS = trial_table(ROWS)
 
 
 class TestTrials:
@@ -31,9 +31,14 @@ class TestTrials:
         write_trials(path, TRIALS)
         assert read_trials(path) == TRIALS
 
-    def test_bad_label_rejected_at_construction(self):
-        with pytest.raises(TrialFormatError, match="label"):
-            Trial("m", "u", "p", "target")
+    def test_len_counts_trials(self):
+        assert len(TRIALS) == 3
+        assert len(trial_table([])) == 0 and not trial_table([])
+
+    def test_labeled_targets(self):
+        keep, is_target = labeled_targets(TRIALS.labels)
+        assert keep.tolist() == [True, True, False]
+        assert is_target.tolist() == [True, False]
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "trials.tsv"
@@ -60,29 +65,6 @@ class TestTrials:
             read_trials(path)
 
 
-class TestTrialRecord:
-    def test_contract(self):
-        t = Trial("m", "u", "p", "tgt")
-        assert (t.enroll_id, t.test_id, t.phrase_id, t.label) == ("m", "u", "p", "tgt")
-        assert t.key == ("m", "u", "p")
-        same = Trial("m", "u", "p", "tgt")
-        assert t == same and hash(t) == hash(same) and len({t, same}) == 1
-        assert t != Trial("m", "u", "p", "non")
-        assert Trial(*t) == t
-
-    def test_immutable_and_slotted(self):
-        t = Trial("m", "u", "p", "tgt")
-        with pytest.raises(AttributeError):
-            t.label = "non"
-        with pytest.raises(AttributeError):
-            t.extra = 1
-
-    def test_pickles(self):
-        t = Trial("m", "u", "p", "unk")
-        back = pickle.loads(pickle.dumps(t))
-        assert back == t and type(back) is Trial and back.key == t.key
-
-
 # one good row per reader; a bad row after three of them must still be
 # reported with its file and line number
 GOOD_ROWS = [(read_trials, "m\tu{}\tp\ttgt"),
@@ -106,11 +88,11 @@ def test_bad_row_after_good_ones_names_its_line(tmp_path, reader, row):
 class TestScores:
     def test_round_trip_with_fixed_precision(self, tmp_path):
         path = tmp_path / "scores.tsv"
-        write_scores(path, [(TRIALS[0], 0.123456789), (TRIALS[1], -1.5)])
-        back = read_scores_by_row(path)
-        assert back[0][0] == TRIALS[0]
-        assert back[0][1] == pytest.approx(0.123457, abs=1e-9)
-        assert back[1][1] == -1.5
+        write_scores(path, trial_table(ROWS[:2]), [0.123456789, -1.5])
+        table, scores = read_scores_by_row(path)
+        assert table == trial_table(ROWS[:2])
+        assert scores[0] == pytest.approx(0.123457, abs=1e-9)
+        assert scores[1] == -1.5
         assert path.read_text().splitlines()[1].endswith("\t-1.500000")
 
     def test_unparsable_score(self, tmp_path):
@@ -291,12 +273,13 @@ def _read_both(data, kind, rows):
 
 def _assert_same_table(kind, got, want):
     if kind == "scores":
-        assert isinstance(got, ScoreTable)
-        assert all(type(column) is list for column in got[:4])
-        assert list(zip(*got[:4])) == [tuple(t) for t, _ in want]
-        expected = np.array([s for _, s in want], dtype=np.float64)
-        assert got.scores.dtype == np.float64
-        assert got.scores.tobytes() == expected.tobytes()
+        (table, scores), (want_table, want_scores) = got, want
+        assert type(table) is TrialTable
+        assert all(type(column) is list for column in table)
+        assert table == want_table
+        expected = np.array(want_scores, dtype=np.float64)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == expected.tobytes()
     elif kind == "embeddings":
         assert list(got) == list(want)
         for utt, rec in want.items():
@@ -308,7 +291,8 @@ def _assert_same_table(kind, got, want):
     else:
         assert got == want
         if kind == "trials":
-            assert all(type(t) is Trial for t in got)
+            assert type(got) is TrialTable
+            assert all(type(column) is list for column in got)
 
 
 @pytest.mark.parametrize("kind", list(READERS))
