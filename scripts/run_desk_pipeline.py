@@ -5,9 +5,10 @@ Synthesizes a corpus, trains the desk embedder on the background split,
 extracts embeddings, scores the dev and eval trial lists with the
 WCCN/cosine/s-norm backend, and prints both operating summaries.  Every
 stage goes through the command-line entry points, so the artifacts under
---workdir are exactly what the CLI documents.  It ends with the sha256 (first
-12 hex digits) of each golden file and of the DET tables, so two runs can be
-compared at a glance.
+--workdir are exactly what the CLI documents.  It ends with the full sha256
+of each output that tests/golden_desk.json pins, so two runs can be compared
+at a glance.  Acceptance criterion 4 runs the same sequence through
+``run_desk`` and checks ``digests`` against that file.
 """
 
 import argparse
@@ -28,13 +29,71 @@ for _var in BLAS_THREAD_VARS:
 
 from tdsv.config import PipelineConfig, save_config
 
+# the run directory's files that digests() covers, besides the model/ tree
+DIGESTED_FILES = ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
+                  "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt",
+                  "dev/det.csv", "eval/det.csv", "dev/det_probit.csv",
+                  "eval/det_probit.csv")
 
-def run(argv, label):
-    t0 = time.monotonic()
-    rc = tdsv(argv)
-    if rc != 0:
-        raise SystemExit(f"stage '{label}' failed with exit code {rc}")
-    print(f"  [{label}: {time.monotonic() - t0:.1f}s]")
+
+def run_desk(workdir, *, corpus_seed=7, train_seed=0, speakers=10,
+             utterances=20, epochs=30) -> dict[str, float]:
+    """Write the corpus to ``workdir/corpus`` and every other artifact to
+    ``workdir/run``; return the wall seconds of each stage by its label."""
+    work = Path(workdir)
+    corpus = work / "corpus"
+    run_dir = work / "run"
+    work.mkdir(parents=True, exist_ok=True)
+
+    cfg = work / "pipeline.cfg"
+    save_config(cfg, PipelineConfig(epochs=epochs))
+    seconds = {}
+
+    def run(argv, label):
+        t0 = time.monotonic()
+        rc = tdsv(argv)
+        if rc != 0:
+            raise SystemExit(f"stage '{label}' failed with exit code {rc}")
+        seconds[label] = time.monotonic() - t0
+        print(f"  [{label}: {seconds[label]:.1f}s]")
+
+    run(["--seed", str(corpus_seed), "--output-dir", str(corpus),
+         "synth", "--speakers", str(speakers),
+         "--utterances", str(utterances)], "synth")
+    run(["--config", str(cfg), "--seed", str(train_seed),
+         "--output-dir", str(run_dir), "train", "--corpus", str(corpus)],
+        "train")
+    run(["--output-dir", str(run_dir), "embed", "--corpus", str(corpus),
+         "--model", str(run_dir / "model")], "embed")
+
+    for split in ("dev", "eval"):
+        out = run_dir / split
+        run(["--config", str(cfg), "--output-dir", str(out), "score",
+             "--corpus", str(corpus),
+             "--embeddings", str(run_dir / "embeddings.tsv"),
+             "--trials", str(corpus / f"trials_{split}.tsv")],
+            f"score {split}")
+        run(["--output-dir", str(out), "eval",
+             "--scores", str(out / "scores.tsv")], f"eval {split}")
+    return seconds
+
+
+def digests(run_dir) -> dict[str, str]:
+    """Full sha256 of each of DIGESTED_FILES under ``run_dir``, and of its
+    model/ tree: each relative path in sorted order, its byte count, then
+    its bytes."""
+    run_dir = Path(run_dir)
+    out = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+           for name in DIGESTED_FILES}
+    model = run_dir / "model"
+    tree = hashlib.sha256()
+    for rel in sorted(p.relative_to(model).as_posix()
+                      for p in model.rglob("*") if p.is_file()):
+        data = (model / rel).read_bytes()
+        tree.update(f"{rel}\n{len(data)}\n".encode())
+        tree.update(data)
+    out["model/"] = tree.hexdigest()
+    return out
 
 
 def main():
@@ -50,44 +109,17 @@ def main():
     ap.add_argument("--epochs", type=int, default=30)
     args = ap.parse_args()
 
-    work = Path(args.workdir)
-    corpus = work / "corpus"
-    run_dir = work / "run"
-    work.mkdir(parents=True, exist_ok=True)
-
-    cfg = work / "pipeline.cfg"
-    save_config(cfg, PipelineConfig(epochs=args.epochs))
-
-    run(["--seed", str(args.corpus_seed), "--output-dir", str(corpus),
-         "synth", "--speakers", str(args.speakers),
-         "--utterances", str(args.utterances)], "synth")
-    run(["--config", str(cfg), "--seed", str(args.train_seed),
-         "--output-dir", str(run_dir), "train", "--corpus", str(corpus)],
-        "train")
-    run(["--output-dir", str(run_dir), "embed", "--corpus", str(corpus),
-         "--model", str(run_dir / "model")], "embed")
-
-    for split in ("dev", "eval"):
-        out = run_dir / split
-        run(["--config", str(cfg), "--output-dir", str(out), "score",
-             "--corpus", str(corpus),
-             "--embeddings", str(run_dir / "embeddings.tsv"),
-             "--trials", str(corpus / f"trials_{split}.tsv")],
-            f"score {split}")
-        run(["--output-dir", str(out), "eval",
-             "--scores", str(out / "scores.tsv")], f"eval {split}")
-
+    run_desk(args.workdir, corpus_seed=args.corpus_seed,
+             train_seed=args.train_seed, speakers=args.speakers,
+             utterances=args.utterances, epochs=args.epochs)
+    run_dir = Path(args.workdir) / "run"
     for split in ("dev", "eval"):
         print(f"\n{split} summary ({run_dir / split / 'summary.txt'}):")
         print((run_dir / split / "summary.txt").read_text(), end="")
 
-    print("\ndigests (sha256, first 12 hex digits):")
-    for name in ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
-                 "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt",
-                 "dev/det.csv", "eval/det.csv", "dev/det_probit.csv",
-                 "eval/det_probit.csv"):
-        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        print(f"  {digest[:12]}  {name}")
+    print("\ndigests (sha256):")
+    for name, digest in digests(run_dir).items():
+        print(f"  {digest}  {name}")
 
 
 if __name__ == "__main__":

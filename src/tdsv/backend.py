@@ -25,7 +25,6 @@ FUSION_TOL = 1e-8  # gradient max-norm at which the fusion fit has converged
 class WccnTransform:
     """x -> matrix.T @ x whitens the regularized within-class covariance."""
 
-    phrase_id: str
     matrix: np.ndarray      # lower-triangular Cholesky factor B
     covariance: np.ndarray  # regularized within-class covariance W-bar
 
@@ -43,7 +42,7 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def wccn_from_covariance(within: np.ndarray, phrase_id: str = "") -> WccnTransform:
+def wccn_from_covariance(within: np.ndarray) -> WccnTransform:
     """Regularize W to W + I/2, invert, and take the Cholesky factor B, so
     that B.T @ Wbar @ B = I."""
     within = np.asarray(within, dtype=np.float64)
@@ -52,7 +51,7 @@ def wccn_from_covariance(within: np.ndarray, phrase_id: str = "") -> WccnTransfo
         raise DimensionError(f"covariance must be square, got {within.shape}")
     wbar = within + 0.5 * np.eye(d)
     b = np.linalg.cholesky(np.linalg.inv(wbar))
-    return WccnTransform(phrase_id, b, wbar)
+    return WccnTransform(b, wbar)
 
 
 def fit_wccn(by_speaker: dict[str, np.ndarray], phrase_id: str = "") -> WccnTransform:
@@ -72,7 +71,7 @@ def fit_wccn(by_speaker: dict[str, np.ndarray], phrase_id: str = "") -> WccnTran
         centered = normed - normed.mean(axis=0)
         cov = centered.T @ centered / centered.shape[0]
         accum = cov if accum is None else accum + cov
-    return wccn_from_covariance(accum / len(by_speaker), phrase_id)
+    return wccn_from_covariance(accum / len(by_speaker))
 
 
 def transform(t: WccnTransform, e: np.ndarray) -> np.ndarray:
@@ -104,25 +103,23 @@ def _unit_rows(t: WccnTransform, e: np.ndarray) -> np.ndarray:
 
 
 def cohort_scores(e: np.ndarray, cohort: np.ndarray, t: WccnTransform) -> np.ndarray:
-    """Cosine scores of each row of ``e`` against every cohort row, as one
-    product of length-normalized matrices: ``[n, n_cohort]`` for ``[n, d]``
-    segments, ``[n_cohort]`` for a single ``[d]`` segment."""
+    """Cosine scores ``[n, n_cohort]`` of each row of the ``[n, d]``
+    segments ``e`` against every cohort row, as one product of
+    length-normalized matrices."""
     if cohort.ndim != 2 or cohort.shape[0] < 2:
         raise InsufficientDataError("cohort needs at least 2 utterances")
-    e = np.asarray(e, dtype=np.float64)
-    scores = _unit_rows(t, np.atleast_2d(e)) @ _unit_rows(t, cohort).T
-    return scores[0] if e.ndim == 1 else scores
+    return _unit_rows(t, e) @ _unit_rows(t, cohort).T
 
 
 def cohort_stats(e: np.ndarray, cohort: np.ndarray, t: WccnTransform):
-    """Mean and deviation of each segment's cohort scores: two arrays for
-    ``[n, d]`` segments, two floats for a single ``[d]`` segment."""
+    """Mean and deviation ``[n]`` of each ``[n, d]`` segment's cohort
+    scores."""
     scores = cohort_scores(e, cohort, t)
-    mu = scores.mean(axis=-1)
-    sigma = scores.std(axis=-1)
+    mu = scores.mean(axis=1)
+    sigma = scores.std(axis=1)
     if not sigma.all():
         raise DegenerateError("degenerate cohort: zero score variance")
-    return (float(mu), float(sigma)) if scores.ndim == 1 else (mu, sigma)
+    return mu, sigma
 
 
 def apply_snorm(s: float, enroll_stats: tuple[float, float],
@@ -190,15 +187,12 @@ def fit_fusion(scores: np.ndarray, labels: np.ndarray, *,
 
 
 def apply_fusion(model: FusionModel, scores: np.ndarray) -> np.ndarray:
+    """Fused scores ``[n]`` of an ``[n, systems]`` score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
-    single = scores.ndim == 1
-    if single:
-        scores = scores[None, :]
-    if scores.shape[1] != model.weights.shape[0]:
-        raise DimensionError(
-            f"expected {model.weights.shape[0]} systems, got {scores.shape[1]}")
-    fused = scores @ model.weights + model.bias
-    return float(fused[0]) if single else fused
+    if scores.ndim != 2 or scores.shape[1] != model.weights.shape[0]:
+        raise DimensionError(f"expected [n, {model.weights.shape[0]}] "
+                             f"scores, got {scores.shape}")
+    return scores @ model.weights + model.bias
 
 
 def pca_project(embeddings: np.ndarray, k: int = 2) -> np.ndarray:
@@ -232,7 +226,6 @@ def pca_project(embeddings: np.ndarray, k: int = 2) -> np.ndarray:
 class PhraseBackend:
     """Per-phrase scoring artifacts: WCCN transform plus the s-norm cohort."""
 
-    phrase_id: str
     wccn: WccnTransform
     cohort_ids: tuple[str, ...]
     cohort: np.ndarray  # [n_cohort, d] raw embeddings, rows follow cohort_ids
@@ -268,7 +261,7 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
                        for rank, utt in enumerate(utts))
         cohort_ids = sorted(utt for _, utt in turns[:cohort_size or None])
         backends[phrase] = PhraseBackend(
-            phrase, wccn, tuple(cohort_ids),
+            wccn, tuple(cohort_ids),
             np.stack([records[u].vector for u in cohort_ids]))
     return backends
 
@@ -380,7 +373,7 @@ def load_backends(path) -> dict[str, "PhraseBackend"]:
     backends = {}
     try:
         for phrase in fields["phrases"].split(","):
-            wccn = WccnTransform(phrase, tensors[f"{phrase}.wccn_matrix"],
+            wccn = WccnTransform(tensors[f"{phrase}.wccn_matrix"],
                                  tensors[f"{phrase}.wccn_covariance"])
             cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
             cohort = tensors[f"{phrase}.cohort"]
@@ -391,7 +384,7 @@ def load_backends(path) -> dict[str, "PhraseBackend"]:
                     f"backend {path} phrase '{phrase}' has shapes "
                     f"{wccn.matrix.shape}, {wccn.covariance.shape} and "
                     f"{cohort.shape} for {len(cohort_ids)} cohort ids")
-            backends[phrase] = PhraseBackend(phrase, wccn, cohort_ids, cohort)
+            backends[phrase] = PhraseBackend(wccn, cohort_ids, cohort)
     except KeyError as exc:
         raise TensorFormatError(
             f"backend {path} has no field or tensor {exc}") from None

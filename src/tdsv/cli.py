@@ -24,21 +24,25 @@ import traceback
 from pathlib import Path
 
 
-def _thread_count(text: str) -> int:
-    # OpenBLAS reads 0 or a negative count as "every core"
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """An argparse type for ints >= ``minimum``: numpy's generators reject a
+    negative seed, and OpenBLAS reads 0 or fewer threads as "every core"."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+    return parse
 
 
 _GLOBAL_FLAGS = (
     ("--config", dict(metavar="FILE", help="pipeline config file (svconfig 1)")),
-    ("--seed", dict(type=int, metavar="N", help="master RNG seed (default 0)")),
-    ("--threads", dict(type=_thread_count, metavar="N",
+    ("--seed", dict(type=_int_at_least(0), metavar="N",
+                    help="master RNG seed, >= 0 (default 0)")),
+    ("--threads", dict(type=_int_at_least(1), metavar="N",
                        help="BLAS/OpenMP thread cap, >= 1 (default 1)")),
     ("--output-dir", dict(metavar="DIR", help="artifact directory (default .)")),
 )
@@ -235,8 +239,8 @@ def cmd_eval(args) -> int:
 
         raise DegenerateError(f"no labeled trials in {args.scores}")
     trials = ScoredTrials(scores[keep], is_target)
-    summary = summary_lines(trials, p_tar=args.p_tar)
     det = compute_det(trials)
+    summary = summary_lines(trials, det, p_tar=args.p_tar)
     out = _out(args)
     atomic_write_text(out / "summary.txt", "\n".join(summary) + "\n")
     atomic_write_text(out / "det.csv", "\n".join(det_csv_lines(det)) + "\n")

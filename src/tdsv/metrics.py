@@ -85,17 +85,16 @@ def compute_eer(trials: ScoredTrials) -> float:
     return _eer_from_points(det.p_miss, det.p_fa)
 
 
-def _dcf_normalizer(p_tar, c_miss, c_fa) -> float:
-    return min(c_miss * p_tar, c_fa * (1.0 - p_tar))
+def _min_dcf(det: DetCurve, p_tar: float, c_miss: float, c_fa: float) -> float:
+    if not 0.0 < p_tar < 1.0:
+        raise DegenerateError(f"p_tar must lie in (0, 1), got {p_tar}")
+    costs = c_miss * p_tar * det.p_miss + c_fa * (1.0 - p_tar) * det.p_fa
+    return float(costs.min() / min(c_miss * p_tar, c_fa * (1.0 - p_tar)))
 
 
 def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
                     c_miss: float = 1.0, c_fa: float = 1.0) -> float:
-    if not 0.0 < p_tar < 1.0:
-        raise DegenerateError(f"p_tar must lie in (0, 1), got {p_tar}")
-    det = compute_det(trials)
-    costs = c_miss * p_tar * det.p_miss + c_fa * (1.0 - p_tar) * det.p_fa
-    return float(costs.min() / _dcf_normalizer(p_tar, c_miss, c_fa))
+    return _min_dcf(compute_det(trials), p_tar, c_miss, c_fa)
 
 
 def _reprs_by_value(values: np.ndarray, fn=None) -> list[str]:
@@ -123,13 +122,12 @@ def det_probit_csv_lines(det: DetCurve) -> list[str]:
                                          _reprs_by_value(det.p_miss, ndtri))]
 
 
-def summary_lines(trials: ScoredTrials, p_tar: float = 1e-3) -> list[str]:
-    eer = compute_eer(trials)
-    min_dcf = compute_min_dcf(trials, p_tar=p_tar)
+def summary_lines(trials: ScoredTrials, det: DetCurve,
+                  p_tar: float = 1e-3) -> list[str]:
     num_tgt = int(trials.labels.sum())
     return [
-        f"eer={eer:.4f}",
-        f"min_dcf={min_dcf:.4f}",
+        f"eer={_eer_from_points(det.p_miss, det.p_fa):.4f}",
+        f"min_dcf={_min_dcf(det, p_tar, 1.0, 1.0):.4f}",
         f"p_tar={p_tar!r}",
         f"num_target={num_tgt}",
         f"num_nontarget={trials.labels.size - num_tgt}",

@@ -37,6 +37,10 @@ class NetworkConfig:
             raise DimensionError("block channel and stride plans differ in length")
         if self.num_speakers < 2:
             raise DimensionError("need at least 2 speakers")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise DimensionError(f"{f.name} must be >= 1, got {value}")
 
     @property
     def embedding_dim(self) -> int:
@@ -244,7 +248,7 @@ def load_network(path) -> Network:
             f.name: (tuple(int(v) for v in entries[f.name].split(","))
                      if isinstance(f.default, tuple) else int(entries[f.name]))
             for f in fields(NetworkConfig)})
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DimensionError) as exc:
         raise TensorFormatError(
             f"checkpoint {path} has a missing or bad field: {exc}") from None
     net = Network(config, seed=None)

@@ -5,7 +5,6 @@ summation) and must stay independent of the code under test: these functions
 are the second route in every dual-route check.
 """
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -380,37 +379,11 @@ def read_embeddings_by_row(path) -> dict[str, EmbeddingRecord]:
     return records
 
 
-# The desk run's golden bytes: full sha256 digests, and the environment they
-# hold in, since bit-exactness rests on how numpy and the BLAS accumulate.
-
-GOLDEN_FILES = ("training_log.csv", "embeddings.tsv", "eval/scores.tsv")
-
-
-def tree_sha256(root) -> str:
-    """sha256 over a directory's files: each relative path in sorted order,
-    its byte count, then its bytes."""
-    root = Path(root)
-    digest = hashlib.sha256()
-    for rel in sorted(p.relative_to(root).as_posix()
-                      for p in root.rglob("*") if p.is_file()):
-        data = (root / rel).read_bytes()
-        digest.update(f"{rel}\n{len(data)}\n".encode())
-        digest.update(data)
-    return digest.hexdigest()
-
-
-def desk_digests(run) -> dict[str, str]:
-    """The golden digests of a desk run directory."""
-    run = Path(run)
-    digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
-               for name in GOLDEN_FILES}
-    digests["model/"] = tree_sha256(run / "model")
-    return digests
-
-
 def golden_environment() -> dict[str, str]:
-    """numpy version, build BLAS, and the highest CPU dispatch target.  A
-    numpy older than 2.0 has neither probe, so only its version is given."""
+    """numpy version, build BLAS, and the highest CPU dispatch target: the
+    desk run's golden bytes hold only where numpy and the BLAS accumulate
+    alike.  A numpy older than 2.0 has neither probe, so only its version is
+    given."""
     try:
         from numpy._core import _multiarray_umath as umath
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     desk_digests, eer_permutation_pvalue, golden_environment,
+                     eer_permutation_pvalue, golden_environment,
                      numeric_gradient, read_scores_by_row, relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
@@ -248,22 +248,10 @@ def test_criterion_3_metric_oracles(capsys):
 
 
 def test_criterion_4_desk_pipeline(capsys, tmp_path):
-    corpus = tmp_path / "corpus"
+    from run_desk_pipeline import digests, run_desk
+
+    train_s = run_desk(tmp_path)["train"]
     run = tmp_path / "run"
-    # seed 7 is the corpus generator's own default voice draw
-    assert main(["--seed", "7", "--output-dir", str(corpus), "synth",
-                 "--speakers", "10", "--phrases", "2",
-                 "--utterances", "20"]) == 0
-    started = time.monotonic()
-    assert main(["--seed", "0", "--output-dir", str(run), "train",
-                 "--corpus", str(corpus)]) == 0
-    train_s = time.monotonic() - started
-    assert main(["--output-dir", str(run), "embed", "--corpus", str(corpus),
-                 "--model", str(run / "model")]) == 0
-    assert main(["--output-dir", str(run / "eval"), "score",
-                 "--corpus", str(corpus),
-                 "--embeddings", str(run / "embeddings.tsv"),
-                 "--trials", str(corpus / "trials_eval.tsv")]) == 0
 
     table, scores = read_scores_by_row(run / "eval" / "scores.tsv")
     trials = ScoredTrials(np.array(scores), np.array(table.labels) == "tgt")
@@ -277,9 +265,9 @@ def test_criterion_4_desk_pipeline(capsys, tmp_path):
     if differs:
         golden_ok, golden_note = True, f"golden not checked: {differs[0]} differs"
     else:
-        digests = desk_digests(run)
-        moved = [name for name, digest in golden["digests"].items()
-                 if digests[name] != digest]
+        got = digests(run)
+        moved = [name for name in sorted(got.keys() | golden["digests"].keys())
+                 if got.get(name) != golden["digests"].get(name)]
         golden_ok = not moved
         golden_note = ("golden digests match" if golden_ok
                        else f"golden digests differ: {', '.join(moved)}")

@@ -133,18 +133,18 @@ class TestSnorm:
 
     def test_cohort_needs_two_rows(self):
         with pytest.raises(InsufficientDataError):
-            cohort_scores(np.ones(2), np.ones((1, 2)), self.I2)
+            cohort_scores(np.ones((1, 2)), np.ones((1, 2)), self.I2)
 
     def test_cohort_stats_worked_example(self):
         cohort = np.array([[1.0, 0.0], [0.0, 1.0]])
-        mu, sigma = cohort_stats(np.array([1.0, 0.0]), cohort, self.I2)
+        mu, sigma = cohort_stats(np.array([[1.0, 0.0]]), cohort, self.I2)
         assert mu == pytest.approx(0.5)
         assert sigma == pytest.approx(0.5)
 
     def test_degenerate_cohort_rejected(self):
         cohort = np.array([[1.0, 0.0], [2.0, 0.0]])  # same direction twice
         with pytest.raises(DegenerateError):
-            cohort_stats(np.array([0.5, 0.5]), cohort, self.I2)
+            cohort_stats(np.array([[0.5, 0.5]]), cohort, self.I2)
 
     def test_standard_normal_stats_are_identity(self):
         for s in (-1.3, 0.0, 0.42, 2.0):
@@ -183,22 +183,11 @@ class TestCohortMatrix:
         for i, e in enumerate(segments):
             want = cohort_scores_oracle(e, cohort, t)
             assert np.abs(scores[i] - want).max() < 1e-12
-            assert np.abs(cohort_scores(e, cohort, t) - want).max() < 1e-12
+            assert (np.abs(cohort_scores(e[None], cohort, t) - want).max()
+                    < 1e-12)
             want_mu, want_sigma = cohort_stats_oracle(e, cohort, t)
             assert abs(mu[i] - want_mu) < 1e-12
             assert abs(sigma[i] - want_sigma) < 1e-12
-
-    def test_single_segment_gives_floats(self):
-        rng = np.random.default_rng(40)
-        t = wccn_from_covariance(_random_spd(rng, 5))
-        cohort = rng.normal(size=(7, 5))
-        e = rng.normal(size=5)
-        assert cohort_scores(e, cohort, t).shape == (7,)
-        mu, sigma = cohort_stats(e, cohort, t)
-        assert type(mu) is float and type(sigma) is float
-        batch_mu, batch_sigma = cohort_stats(e[None, :], cohort, t)
-        assert batch_mu.shape == (1,)
-        assert (batch_mu[0], batch_sigma[0]) == (mu, sigma)
 
     def test_zero_norm_segment_rejected(self):
         t = wccn_from_covariance(np.eye(2))
@@ -206,13 +195,13 @@ class TestCohortMatrix:
         with pytest.raises(DegenerateError):
             cohort_stats(np.array([[1.0, 2.0], [0.0, 0.0]]), cohort, t)
         with pytest.raises(DegenerateError):
-            cohort_stats(np.array([1.0, 2.0]),
+            cohort_stats(np.array([[1.0, 2.0]]),
                          np.array([[1.0, 0.0], [0.0, 0.0]]), t)
 
     def test_zero_variance_row_in_batch_rejected(self):
         t = wccn_from_covariance(np.eye(2))
         cohort = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, sigma = cohort_stats(np.array([1.0, 0.0]), cohort, t)
+        _, sigma = cohort_stats(np.array([[1.0, 0.0]]), cohort, t)
         assert sigma > 0.0
         # [1, 1] scores the same against both cohort rows
         with pytest.raises(DegenerateError):
@@ -324,14 +313,14 @@ class TestFusion:
 
     def test_apply_worked_example(self):
         model = FusionModel(np.array([2.0, -1.0]), 0.5)
-        assert apply_fusion(model, np.array([1.0, 1.0])) == pytest.approx(1.5)
+        assert apply_fusion(model, np.array([[1.0, 1.0]])) == pytest.approx(1.5)
         out = apply_fusion(model, np.array([[1.0, 1.0], [0.0, 0.0]]))
         assert np.allclose(out, [1.5, 0.5])
 
     def test_apply_rejects_wrong_width(self):
         model = FusionModel(np.array([1.0, 1.0]), 0.0)
         with pytest.raises(DimensionError):
-            apply_fusion(model, np.array([1.0, 2.0, 3.0]))
+            apply_fusion(model, np.array([[1.0, 2.0, 3.0]]))
 
     def test_round_trip(self, tmp_path):
         model = FusionModel(np.array([0.25, 1.75]), -0.125)
@@ -565,7 +554,7 @@ class TestPhraseGlue:
         flat_cohort = np.zeros((2, 8))
         flat_cohort[:, 0] = (1.0, 2.0)
         broken = {**backends, "p1": PhraseBackend(
-            "p1", wccn_from_covariance(np.zeros((8, 8)), "p1"),
+            wccn_from_covariance(np.zeros((8, 8))),
             p1.cohort_ids[:2], flat_cohort)}
         with pytest.raises(DegenerateError):
             score_trials(trial_table([("s0-p1", "s0_p1_2", "p1", "tgt")]),
@@ -764,7 +753,6 @@ class TestArtifactRoundTripProperties:
         assert sorted(restored) == sorted(backends)
         for phrase, b in backends.items():
             r = restored[phrase]
-            assert r.phrase_id == phrase and r.wccn.phrase_id == phrase
             assert r.cohort_ids == b.cohort_ids
             for got, want in ((r.wccn.matrix, b.wccn.matrix),
                               (r.wccn.covariance, b.wccn.covariance),

@@ -151,6 +151,17 @@ class TestCliContracts:
         assert left.startswith("eer=0.") and len(left) == len("eer=0.0000")
         assert right.startswith("min_dcf=")
 
+    def test_eval_builds_one_det_curve(self, pipeline, tmp_path, monkeypatch):
+        from tdsv import metrics
+
+        real, calls = metrics.compute_det, []
+        monkeypatch.setattr(metrics, "compute_det",
+                            lambda trials: calls.append(trials) or real(trials))
+        _, run = pipeline
+        assert main(["--output-dir", str(tmp_path), "eval",
+                     "--scores", str(run / "eval" / "scores.tsv")]) == 0
+        assert len(calls) == 1
+
     def test_threads_flag_pins_blas_env(self, pipeline, capsys):
         _, run = pipeline
         assert main(["--threads", "3", "--output-dir", str(run / "eval"),
@@ -339,6 +350,20 @@ class TestCliContracts:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("tdsv")
         assert last.endswith(f"error: argument --threads: must be >= 1, got {value}")
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", "--output-dir", "d", "synth"],
+        ["--output-dir", "d", "synth", "--seed=-1"],
+        ["--seed=-1", "train", "--corpus", "c"],
+        ["train", "--corpus", "c", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if "error:" in ln] == [err[-1]]
+        assert err[-1].endswith("error: argument --seed: must be >= 0, got -1")
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

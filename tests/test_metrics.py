@@ -254,7 +254,7 @@ class TestReportLines:
         assert det_probit_csv_lines(det)[1] == "inf,-inf"
 
     def test_summary(self):
-        lines = summary_lines(WORKED)
+        lines = summary_lines(WORKED, compute_det(WORKED))
         assert lines[0] == "eer=0.2500"
         assert lines[2] == "p_tar=0.001"
         assert lines[3] == "num_target=4"

@@ -373,6 +373,22 @@ class TestCheckpointErrors:
         with pytest.raises(TensorFormatError, match="stem_channels"):
             load_network(saved)
 
+    @pytest.mark.parametrize("field, value", [
+        ("stem_channels", "-16"),
+        ("input_width", "0"),
+        ("block_strides", "1,1,0,1"),
+    ])
+    def test_non_positive_field(self, saved, field, value):
+        manifest = saved / "manifest.txt"
+        manifest.write_text("".join(
+            f"{field}={value}\n" if ln.startswith(f"{field}=") else ln
+            for ln in manifest.read_text().splitlines(keepends=True)))
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert str(saved) in message and f"{field} must be >= 1" in message
+
 
 class TestGoldenBytes:
     """Digests of a seeded desk network: a change to the He-normal draws, the
