@@ -8,7 +8,8 @@ stage goes through the command-line entry points, so the artifacts under
 --workdir are exactly what the CLI documents.  It ends with the full sha256
 of each output that tests/golden_desk.json pins, so two runs can be compared
 at a glance.  Acceptance criterion 4 runs the same sequence through
-``run_desk`` and checks ``digests`` against that file.
+``run_desk`` and checks ``digests`` against that file; criterion 8 runs it
+twice on a smaller corpus and compares the two ``digests`` maps.
 """
 
 import argparse
@@ -37,16 +38,17 @@ DIGESTED_FILES = ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
 
 
 def run_desk(workdir, *, corpus_seed=7, train_seed=0, speakers=10,
-             utterances=20, epochs=30) -> dict[str, float]:
+             utterances=20, config=PipelineConfig()) -> dict[str, float]:
     """Write the corpus to ``workdir/corpus`` and every other artifact to
-    ``workdir/run``; return the wall seconds of each stage by its label."""
+    ``workdir/run``, training and scoring under ``config``; return the wall
+    seconds of each stage by its label."""
     work = Path(workdir)
     corpus = work / "corpus"
     run_dir = work / "run"
     work.mkdir(parents=True, exist_ok=True)
 
     cfg = work / "pipeline.cfg"
-    save_config(cfg, PipelineConfig(epochs=epochs))
+    save_config(cfg, config)
     seconds = {}
 
     def run(argv, label):
@@ -111,7 +113,8 @@ def main():
 
     run_desk(args.workdir, corpus_seed=args.corpus_seed,
              train_seed=args.train_seed, speakers=args.speakers,
-             utterances=args.utterances, epochs=args.epochs)
+             utterances=args.utterances,
+             config=PipelineConfig(epochs=args.epochs))
     run_dir = Path(args.workdir) / "run"
     for split in ("dev", "eval"):
         print(f"\n{split} summary ({run_dir / split / 'summary.txt'}):")

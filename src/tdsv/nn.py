@@ -42,6 +42,16 @@ def same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return total // 2, total - total // 2, out
 
 
+def _colsum(a):
+    """Per-channel sums of a [..., C] array as one GEMV, ``ones @ rows``.
+
+    numpy's ``sum`` over the leading axes keeps one running sum per channel
+    down all N*H*W rows; BLAS blocks the same sum, which is both faster and,
+    in float32, closer to the exact value."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(rows.shape[0], a.dtype) @ rows
+
+
 def _window_slices(kh, kw, sh, sw, out_h, out_w):
     for i in range(kh):
         for j in range(kw):
@@ -140,7 +150,7 @@ class Conv2D(_Trainable):
                 f"got {grad_out.shape}")
         _, _, kh, kw = self.weight.shape
         g2 = grad_out.reshape(n * out_h * out_w, self.out_channels)
-        self.grad_bias += g2.sum(axis=0)
+        self.grad_bias += _colsum(g2)
         cols = self._im2col(xpad, out_h, out_w)
         gw = cols.T @ g2  # [kh*kw*cin, cout]
         self.grad_weight += gw.reshape(kh, kw, self.in_channels,
@@ -148,14 +158,24 @@ class Conv2D(_Trainable):
         return g2
 
     def backward(self, grad_out):
+        """Accumulate the parameter gradients and return the input gradient.
+
+        Each tap (i, j) of the kernel takes one [rows, cin] product of
+        grad_out with that tap's block of weight-matrix rows, added into the
+        tap's strided window of the padded input gradient in scan order.
+        Every tap reuses one buffer, so no [rows, kh*kw*cin] array is held."""
         g2 = self._param_backward(grad_out)
         xpad, (n, h, w), (pt, pl), (out_h, out_w) = self._cache
         _, _, kh, kw = self.weight.shape
         sh, sw = self.stride
-        gcols = (g2 @ self._weight_matrix().T).reshape(n, out_h, out_w, kh, kw, self.in_channels)
+        cin = self.in_channels
+        wmat = self._weight_matrix()
+        tap = np.empty((n, out_h, out_w, cin), dtype=g2.dtype)
         gxpad = np.zeros_like(xpad)
         for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
-            gxpad[:, sl[0], sl[1], :] += gcols[:, :, :, i, j, :]
+            k = (i * kw + j) * cin  # the tap's rows of wmat, (i, j, c) order
+            np.matmul(g2, wmat[k:k + cin].T, out=tap.reshape(-1, cin))
+            gxpad[:, sl[0], sl[1], :] += tap
         return gxpad[:, pt:pt + h, pl:pl + w, :]
 
 
@@ -190,10 +210,10 @@ class BatchNorm(_Trainable):
     def forward(self, x, train=False):
         axes = self._axes(x)
         if train:
-            mean = x.mean(axis=axes)
+            count = x.size // self.channels
+            mean = _colsum(x) / count
             xhat = x - mean
-            # biased variance, summed and divided exactly as np.var does
-            var = np.square(xhat).sum(axis=axes) / (x.size // self.channels)
+            var = _colsum(np.square(xhat)) / count  # biased
             m = self.momentum
             self.running_mean[...] = m * self.running_mean + (1 - m) * mean
             self.running_var[...] = m * self.running_var + (1 - m) * var
@@ -217,8 +237,8 @@ class BatchNorm(_Trainable):
             raise DimensionError(
                 f"batchnorm backward expects {xhat.shape}, got {grad_out.shape}")
         tmp = grad_out * xhat
-        self.grad_gamma += tmp.sum(axis=axes)
-        self.grad_beta += grad_out.sum(axis=axes)
+        self.grad_gamma += _colsum(tmp)
+        self.grad_beta += _colsum(grad_out)
         dxhat = grad_out * self.gamma
         if not train:
             dxhat *= inv_std
@@ -227,8 +247,8 @@ class BatchNorm(_Trainable):
         # d/dx of ((x - mean)/sqrt(var + eps)) with mean/var functions of x:
         # (inv_std/m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
         # evaluated in place in that order
-        sum_dxhat = dxhat.sum(axis=axes)
-        sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=axes)
+        sum_dxhat = _colsum(dxhat)
+        sum_dxhat_xhat = _colsum(np.multiply(dxhat, xhat, out=tmp))
         dxhat *= m
         dxhat -= sum_dxhat
         dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)

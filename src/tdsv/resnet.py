@@ -173,7 +173,7 @@ class Network:
     def backward(self, grad_logits, input_grad=True):
         """Accumulate every parameter gradient; return the gradient w.r.t.
         the input, or None when ``input_grad`` is false (training never uses
-        it, and it costs the stem conv's input-gradient GEMM and fold)."""
+        it, and it costs the stem conv's per-tap input-gradient products)."""
         g = self.head.backward(grad_logits)
         g = self.pool.backward(g)
         for block in reversed(self.blocks):

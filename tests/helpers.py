@@ -5,6 +5,7 @@ summation) and must stay independent of the code under test: these functions
 are the second route in every dual-route check.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,23 @@ def loop_im2col(xpad, kernel, stride, out_h, out_w):
     return cols.reshape(n * out_h * out_w, kh * kw * c)
 
 
+def fold_conv_input_grad(conv, grad_out):
+    """A conv's input gradient from one [rows, kh*kw*cin] product of
+    grad_out with the transposed weight matrix, whose (i, j) column blocks
+    are folded into the padded gradient in window scan order.  Reads the
+    shapes from ``conv``'s forward cache and changes nothing in it."""
+    xpad, (n, h, w), (pt, pl), (out_h, out_w) = conv._cache
+    _, cin, kh, kw = conv.weight.shape
+    sh, sw = conv.stride
+    g2 = grad_out.reshape(n * out_h * out_w, -1)
+    gcols = (g2 @ conv._weight_matrix().T).reshape(n, out_h, out_w, kh, kw, cin)
+    gxpad = np.zeros_like(xpad)
+    for i in range(kh):
+        for j in range(kw):
+            gxpad[:, i:i + sh * out_h:sh, j:j + sw * out_w:sw, :] += gcols[:, :, :, i, j, :]
+    return gxpad[:, pt:pt + h, pl:pl + w, :]
+
+
 def window_maxpool(x, kernel, stride):
     """Same-padded max pooling through a full [N,oh,ow,kh*kw,C] window
     tensor: (out, argmax), argmax the first maximal cell index i*kw + j."""
@@ -197,21 +215,32 @@ def window_maxpool(x, kernel, stride):
     return out, argmax
 
 
-def batchnorm_train_formulas(x, gamma, beta, eps, grad_out):
-    """Train-mode batch norm written as plain array expressions:
+def gemv_channel_sums(a):
+    """Per-channel sums of a [..., C] array as a row of ones times the
+    [rows, C] matrix: the summation the library's kernels use."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(rows.shape[0], a.dtype) @ rows
+
+
+def fsum_channel_sums(a):
+    """Correctly rounded per-channel sums of a [..., C] array."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.array([math.fsum(col) for col in rows.T], dtype=a.dtype)
+
+
+def batchnorm_train_formulas(x, gamma, beta, eps, grad_out, sums=gemv_channel_sums):
+    """Train-mode batch norm written as plain array expressions, with each
+    per-channel sum taken by ``sums``:
     (out, mean, var, grad_x, grad_gamma, grad_beta)."""
-    axes = tuple(range(x.ndim - 1))
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    m = x.size // x.shape[-1]
+    mean = sums(x) / m
+    var = sums(np.square(x - mean)) / m
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
     out = gamma * xhat + beta
     dxhat = grad_out * gamma
-    m = float(np.prod([x.shape[a] for a in axes]))
-    grad_x = (inv_std / m) * (m * dxhat - dxhat.sum(axis=axes)
-                              - xhat * (dxhat * xhat).sum(axis=axes))
-    return (out, mean, var, grad_x, (grad_out * xhat).sum(axis=axes),
-            grad_out.sum(axis=axes))
+    grad_x = (inv_std / m) * (m * dxhat - sums(dxhat) - xhat * sums(dxhat * xhat))
+    return (out, mean, var, grad_x, sums(grad_out * xhat), sums(grad_out))
 
 
 def gradient_ascent_fusion(scores, labels, *, tol=1e-8, max_iter=200_000,

@@ -27,7 +27,7 @@ from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
-from tdsv.cli import main
+from tdsv.config import PipelineConfig
 from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN,
                            compute_spectrogram, fit_length, frame_count)
 from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
@@ -373,39 +373,17 @@ def test_criterion_7_feature_fidelity(capsys):
 
 
 def test_criterion_8_determinism(capsys, tmp_path):
-    from tdsv.config import HEADER
+    from run_desk_pipeline import digests, run_desk
 
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{HEADER}\nepochs=4\nbatch_size=8\n")
-
-    outputs = []
+    runs = []
     for tag in ("a", "b"):
-        corpus = tmp_path / tag / "corpus"
-        run = tmp_path / tag / "run"
-        assert main(["--seed", "3", "--output-dir", str(corpus), "synth",
-                     "--speakers", "6", "--utterances", "8"]) == 0
-        assert main(["--config", str(cfg), "--seed", "1",
-                     "--output-dir", str(run), "train",
-                     "--corpus", str(corpus)]) == 0
-        assert main(["--output-dir", str(run), "embed",
-                     "--corpus", str(corpus),
-                     "--model", str(run / "model")]) == 0
-        assert main(["--config", str(cfg), "--output-dir", str(run / "eval"),
-                     "score", "--corpus", str(corpus),
-                     "--embeddings", str(run / "embeddings.tsv"),
-                     "--trials", str(corpus / "trials_eval.tsv")]) == 0
-        assert main(["--output-dir", str(run / "eval"), "eval",
-                     "--scores", str(run / "eval" / "scores.tsv")]) == 0
-        outputs.append({
-            "embeddings.tsv": (run / "embeddings.tsv").read_bytes(),
-            "scores.tsv": (run / "eval" / "scores.tsv").read_bytes(),
-            "summary.txt": (run / "eval" / "summary.txt").read_bytes(),
-        })
+        run_desk(tmp_path / tag, corpus_seed=3, train_seed=1, speakers=6,
+                 utterances=8, config=PipelineConfig(epochs=4, batch_size=8))
+        runs.append(digests(tmp_path / tag / "run"))
 
-    identical = [name for name in outputs[0]
-                 if outputs[0][name] == outputs[1][name]]
-    ok = _verdict(capsys, len(identical) == 3,
-                  "criterion 8, determinism: same-seed reruns byte-identical "
-                  f"for {', '.join(identical) or 'none'} "
-                  "(embeddings, scores, summary)")
+    identical = [name for name in runs[0] if runs[0][name] == runs[1][name]]
+    ok = _verdict(capsys, len(identical) == len(runs[0]),
+                  "criterion 8, determinism: same-seed reruns of the desk "
+                  f"sequence byte-identical in {len(identical)} of "
+                  f"{len(runs[0])} digested outputs ({', '.join(identical)})")
     assert ok

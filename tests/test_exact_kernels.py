@@ -1,16 +1,21 @@
 """Bit-exactness of the fast conv, max-pool and batch-norm kernels.
 
 The training step's speed comes from reorganized kernels (a strided-view
-unfold, a running-maximum pool, in-place batch norm, no stem input gradient
-in training).  Each must produce the very bits of the plain formulation in
-``helpers``, so a checkpoint, an embedding or a score file never moves when
-the kernels are tuned.
+unfold, a conv input gradient built one kernel tap at a time, a
+running-maximum pool, in-place batch norm with per-channel sums as one
+GEMV, no stem input gradient in training).  Each must produce the very bits
+of the plain formulation in ``helpers``, so a checkpoint, an embedding or a
+score file never moves when the kernels are tuned.  Where BLAS itself
+rounds two formulations apart, the test says why and checks them at a
+tolerance instead; batch norm is also checked against a float64
+evaluation, so the oracle cannot drift with the kernel.
 """
 
 import numpy as np
 import pytest
 
-from helpers import batchnorm_train_formulas, loop_im2col, window_maxpool
+from helpers import (batchnorm_train_formulas, fold_conv_input_grad,
+                     fsum_channel_sums, loop_im2col, window_maxpool)
 from tdsv import nn
 from tdsv.resnet import Network, NetworkConfig
 
@@ -45,6 +50,55 @@ class TestUnfold:
         xpad, _, _, (out_h, out_w) = conv._cache
         assert _bits_equal(conv._im2col(xpad, out_h, out_w),
                            loop_im2col(xpad, (3, 5), (2, 1), out_h, out_w))
+
+
+def _close(a, b, rtol):
+    """Largest deviation within rtol of b's largest magnitude."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return a.shape == b.shape and np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+RTOL = {np.float32: 1e-6, np.float64: 1e-14}
+
+
+class TestConvInputGradient:
+    """``Conv2D.backward`` forms one [rows, cin] product per kernel tap; the
+    oracle forms one [rows, kh*kw*cin] product and folds its column blocks.
+    Each element is the same dot product over the output channels, so the
+    two agree byte for byte wherever BLAS rounds both products alike."""
+
+    @staticmethod
+    def _grads(kernel, stride, cin, dtype):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + cin)
+        conv = nn.Conv2D(cin, 8, kernel, stride, rng=rng, dtype=dtype)
+        out = conv.forward(rng.normal(size=(2, 13, 9, cin)).astype(dtype))
+        g = rng.normal(size=out.shape).astype(dtype)
+        want = fold_conv_input_grad(conv, g)
+        return conv.backward(g), want
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("cin", [3, 17])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_per_tap_matches_fold(self, kernel, stride, cin, dtype):
+        got, want = self._grads(kernel, stride, cin, dtype)
+        if (dtype, kernel, cin) == (np.float64, 7, 17):
+            # OpenBLAS 0.3.31 (AVX512) rounds the last of the fold's 833
+            # float64 columns differently from the same column computed in
+            # its own 17-column product; the per-tap bits are the latter
+            assert _close(got, want, RTOL[dtype])
+        else:
+            assert _bits_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_single_input_channel(self, kernel, stride, dtype):
+        # a one-column product goes to GEMV rather than GEMM, which sums in
+        # another order; the only 1-channel conv is the stem, whose input
+        # gradient training never computes
+        got, want = self._grads(kernel, stride, 1, dtype)
+        assert _close(got, want, RTOL[dtype])
 
 
 class TestMaxPoolExact:
@@ -106,6 +160,13 @@ class TestBatchNormExact:
         assert _bits_equal(bn.backward(g), gx)
         assert _bits_equal(bn.grad_gamma, ggamma)
         assert _bits_equal(bn.grad_beta, gbeta)
+        # the same formulas in float64 with correctly rounded sums bound the
+        # oracle's and so the layer's rounding
+        exact = batchnorm_train_formulas(
+            *(np.asarray(a, np.float64) for a in (x, bn.gamma, bn.beta)),
+            bn.eps, g.astype(np.float64), sums=fsum_channel_sums)
+        got = (out, mean, var, gx, ggamma, gbeta)
+        assert all(_close(a, b, RTOL[dtype]) for a, b in zip(got, exact))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_infer_forward_and_backward(self, dtype):
