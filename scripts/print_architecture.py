@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print the embedder's stage shapes and parameter budget for a preset.
 
-Feeds one random input through the network stage by stage and tabulates
-the output shape next to each named parameter row, so a preset's layout
-can be eyeballed without reading the construction code.
+Feeds one zero input through the network stage by stage and tabulates the
+output shape next to each named parameter row, so a preset's layout can be
+eyeballed without reading the construction code.  Acceptance criterion 1
+checks the same walk (``stage_shapes``) against the reference shapes.
 """
 
 import argparse
@@ -17,6 +18,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from tdsv.resnet import PRESETS, build_network, count_parameters
 
 
+def stage_shapes(net) -> list[tuple[str, tuple[int, ...]]]:
+    """``(stage, output shape without the batch axis)`` for ``stem``,
+    ``maxpool``, ``block1`` ... ``blockN``, ``avgpool`` and ``head``, from
+    one zero input of the network's configured size."""
+    cfg = net.config
+    h = np.zeros((1, cfg.input_height, cfg.input_width, 1), dtype=np.float32)
+    h = net.stem_conv.forward(h)
+    stages = [("stem", h.shape[1:])]
+    h = net.stem_pool.forward(net.stem_relu.forward(h))
+    stages.append(("maxpool", h.shape[1:]))
+    for i, block in enumerate(net.blocks, start=1):
+        h = block.forward(h, train=True)
+        stages.append((f"block{i}", h.shape[1:]))
+    h = net.pool.forward(h)
+    stages.append(("avgpool", h.shape[1:]))
+    stages.append(("head", net.head.forward(h).shape[1:]))
+    return stages
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--preset", default="full", choices=sorted(PRESETS))
@@ -25,31 +45,16 @@ def main():
 
     net = build_network(args.speakers, seed=0, preset=args.preset)
     cfg = net.config
-    x = np.zeros((1, cfg.input_height, cfg.input_width, 1), dtype=np.float32)
-
     print(f"preset '{args.preset}': input "
           f"{cfg.input_height} x {cfg.input_width} x 1, "
           f"embedding dim {cfg.embedding_dim}, {args.speakers} speakers\n")
     print(f"{'stage':<10} {'output shape':<18} {'params':>10}")
 
-    rows = dict(count_parameters(net)[0])
-    h = net.stem_conv.forward(x)
-    conv_shape = "x".join(map(str, h.shape[1:]))
-    h = net.stem_pool.forward(net.stem_relu.forward(h))
-    pool_shape = "x".join(map(str, h.shape[1:]))
-    print(f"{'stem':<10} {conv_shape:<18} {rows['stem']:>10}")
-    print(f"{'maxpool':<10} {pool_shape:<18} {'':>10}")
-    for i, block in enumerate(net.blocks, start=1):
-        h = block.forward(h, train=True)
-        name = f"block{i}"
-        shape = "x".join(map(str, h.shape[1:]))
-        print(f"{name:<10} {shape:<18} {rows[name]:>10}")
-    pooled = net.pool.forward(h)
-    logits = net.head.forward(pooled)
-    print(f"{'avgpool':<10} {pooled.shape[1]:<18} {'':>10}")
-    print(f"{'head':<10} {logits.shape[1]:<18} {rows['head']:>10}")
-
-    total = count_parameters(net)[1]
+    rows, total = count_parameters(net)
+    rows = dict(rows)
+    for stage, shape in stage_shapes(net):
+        shape = "x".join(map(str, shape))
+        print(f"{stage:<10} {shape:<18} {rows.get(stage, ''):>10}")
     print(f"\ntotal parameters: {total} ({total / 1e6:.3f}M)")
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import fileio
 from .errors import (DegenerateError, DimensionError, InsufficientDataError,
-                     IterationLimitError, RankDeficiencyError,
-                     TensorFormatError, UnknownIdError)
+                     IterationLimitError, NumericalError,
+                     RankDeficiencyError, TensorFormatError, UnknownIdError)
 
 FUSION_TOL = 1e-8  # gradient max-norm at which the fusion fit has converged
 
@@ -282,7 +282,10 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
     Phrase isolation is enforced: a trial's model, test utterance, and
     backend must all carry the trial's phrase id.  Each distinct (model,
     phrase) pair, then each distinct (test, phrase) pair, is checked in the
-    order the table first names it, before any scoring.  Each distinct model
+    order the table first names it, before any scoring.  A test vector with
+    a non-finite component is a NumericalError naming the utterance (a model
+    vector already fails in ``length_normalize``), and embeddings of another
+    width than the phrase's backend a DimensionError.  Each distinct model
     and test vector is then transformed into its phrase's WCCN space once;
     the s-norm statistics take one cohort product per phrase for its models
     and one for its test utterances, and each raw score is a scalar
@@ -326,6 +329,9 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
             raise InsufficientDataError(
                 f"test utterance '{test_id}' is phrase "
                 f"'{test.phrase_id}' but trial says '{phrase}'")
+        if not np.isfinite(test.vector).all():
+            raise NumericalError(
+                f"test utterance '{test_id}' has a non-finite embedding")
         needed[phrase][1][test_id] = test.vector
 
     # a model or test utterance carries one phrase, so its id alone keys it.
@@ -337,6 +343,12 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
     test_stats: dict[str, tuple[float, float]] = {}
     for phrase, vectors_by_kind in needed.items():
         backend = backends[phrase]
+        width = backend.wccn.matrix.shape[0]
+        dim = next(iter(vectors_by_kind[0].values())).size
+        if dim != width:
+            raise DimensionError(
+                f"phrase '{phrase}': embeddings have {dim} values, but its "
+                f"backend was fitted on {width}")
         for vectors, moved, stats in zip(vectors_by_kind, (model_wccn, test_wccn),
                                          (model_stats, test_stats)):
             moved.update((k, transform(backend.wccn, v))

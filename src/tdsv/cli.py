@@ -252,10 +252,11 @@ def cmd_eval(args) -> int:
 
 def _aligned_scores(paths):
     """Read several per-system score files and align them on trial keys:
-    the first file's table and a [trials, systems] score matrix."""
+    the first file's table and a [trials, systems] score matrix.  A
+    non-finite score is a NumericalError naming its file and trial."""
     import numpy as np
 
-    from .errors import TrialFormatError
+    from .errors import NumericalError, TrialFormatError
     from .trials import read_scores
 
     baseline, scores = read_scores(paths[0])
@@ -268,7 +269,13 @@ def _aligned_scores(paths):
             raise TrialFormatError(
                 f"{path} covers different trials than {paths[0]}")
         columns.append(scores[[row_of[k] for k in keys]])
-    return baseline, np.stack(columns, axis=1)
+    matrix = np.stack(columns, axis=1)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, system = bad[0]
+        raise NumericalError(f"{paths[system]}: non-finite score "
+                             f"{matrix[row, system]} for trial {keys[row]}")
+    return baseline, matrix
 
 
 def cmd_fuse(args) -> int:
@@ -281,6 +288,7 @@ def cmd_fuse(args) -> int:
 
         raise ConfigError("--dev and --inputs need one file per system")
     dev_table, dev_scores = _aligned_scores(args.dev)
+    in_table, in_scores = _aligned_scores(args.inputs)
     keep, labels = labeled_targets(dev_table.labels)
     model = fit_fusion(dev_scores[keep], labels, l2=cfg.fusion_l2)
     dev_fused = apply_fusion(model, dev_scores[keep])
@@ -288,7 +296,6 @@ def cmd_fuse(args) -> int:
         print("warning: the dev trials are separable, so the fused score scale "
               "is arbitrary; set fusion_l2 > 0 for a finite fit", file=sys.stderr)
 
-    in_table, in_scores = _aligned_scores(args.inputs)
     fused = apply_fusion(model, in_scores)
     out = _out(args)
     write_scores(out / "fused_scores.tsv", in_table, fused)

@@ -59,22 +59,11 @@ TINY = NetworkConfig(input_height=17, input_width=20, stem_channels=2,
 
 
 def test_criterion_1_architecture_fidelity(capsys):
-    net = build_network(97, seed=0, preset="full")
+    from print_architecture import stage_shapes
 
-    x = np.random.default_rng(0).normal(
-        size=(1, 257, 800, 1)).astype(np.float32)
-    stages = []
-    h = net.stem_conv.forward(x)
-    stages.append(h.shape[1:])
-    h = net.stem_pool.forward(net.stem_relu.forward(h))
-    stages.append(h.shape[1:])
-    for block in net.blocks:
-        h = block.forward(h, train=True)
-        stages.append(h.shape[1:])
-    pooled = net.pool.forward(h)
-    logits = net.head.forward(pooled)
-    shapes_ok = (stages == STAGE_SHAPES and pooled.shape == (1, 512)
-                 and logits.shape == (1, 97))
+    net = build_network(97, seed=0, preset="full")
+    shapes = [shape for _, shape in stage_shapes(net)]
+    shapes_ok = shapes == STAGE_SHAPES + [(512,), (97,)]
 
     rows, total = count_parameters(net)
     errors = {name: abs(count / 1000.0 - BUDGETS_K[name]) / BUDGETS_K[name]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from tdsv.backend import (FusionModel, PhraseBackend, apply_fusion,
                           score_trials, transform, wccn_from_covariance)
 from tdsv.errors import (DegenerateError, DimensionError,
                          InsufficientDataError, IterationLimitError,
-                         RankDeficiencyError, TdsvError, TensorFormatError,
-                         UnknownIdError)
+                         NumericalError, RankDeficiencyError, TdsvError,
+                         TensorFormatError, UnknownIdError)
 from tdsv.fileio import write_tensor
 from tdsv.metrics import ScoredTrials, compute_eer
 from tdsv.trials import EmbeddingRecord
@@ -498,6 +499,24 @@ class TestPhraseGlue:
                          {"s0-p0": ["s0_p0_0", "ghost"]}, backends)
         with pytest.raises(UnknownIdError, match="'ghost' has no embedding"):
             fit_backends(records, {"p0": ["ghost"]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_test_vector_rejected(self, scored_setup, bad):
+        records, backends, enroll, trials = scored_setup
+        rec = records["s1_p0_2"]
+        vector = rec.vector.copy()
+        vector[3] = bad
+        records = {**records, "s1_p0_2": replace(rec, vector=vector)}
+        with pytest.raises(NumericalError, match="'s1_p0_2' has a non-finite"):
+            score_trials(trials, records, enroll, backends)
+
+    def test_width_must_match_backend(self, scored_setup):
+        records, backends, enroll, trials = scored_setup
+        narrow = {u: replace(r, vector=r.vector[:6]) for u, r in records.items()}
+        with pytest.raises(DimensionError,
+                           match="phrase 'p0': embeddings have 6 values, "
+                                 "but its backend was fitted on 8"):
+            score_trials(trials, narrow, enroll, backends)
 
     def test_backend_round_trip(self, scored_setup, tmp_path):
         records, backends, enroll, trials = scored_setup

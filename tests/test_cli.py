@@ -1,9 +1,11 @@
 """Command-line driver: one shared small pipeline plus error paths.
 
-The pipeline fixture runs synth -> train -> embed -> score -> eval -> fuse ->
-project once on a miniature corpus; individual tests assert on the artifacts
-and exit codes.  Error cases call main() directly and check the one-line
-``error:`` contract.
+The pipeline fixture runs the desk sequence of
+``scripts/run_desk_pipeline.py`` (its ``run_desk``: synth -> train -> embed
+-> score and eval of both splits, eval scored with dev's backend) once on a
+miniature corpus, then ``fuse`` and ``project``; individual tests assert on
+the artifacts and exit codes.  Error cases call main() directly and check
+the one-line ``error:`` contract.
 """
 
 import os
@@ -16,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from run_desk_pipeline import run_desk
 from tdsv import cli
 from tdsv.cli import main
-from tdsv.config import HEADER
+from tdsv.config import HEADER, PipelineConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -26,34 +29,16 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
-    corpus = root / "corpus"
-    run = root / "run"
-    cfg = root / "run.cfg"
-    cfg.write_text(f"{HEADER}\nepochs=2\nbatch_size=8\nlearning_rate=0.0003\n")
-
-    steps = [
-        ["--seed", "5", "--output-dir", str(corpus), "synth",
-         "--speakers", "6", "--utterances", "8"],
-        ["--config", str(cfg), "--seed", "0", "--output-dir", str(run),
-         "train", "--corpus", str(corpus)],
-        ["--output-dir", str(run), "embed", "--corpus", str(corpus),
-         "--model", str(run / "model")],
-        ["--config", str(cfg), "--output-dir", str(run / "dev"), "score",
-         "--corpus", str(corpus), "--embeddings", str(run / "embeddings.tsv"),
-         "--trials", str(corpus / "trials_dev.tsv")],
-        ["--config", str(cfg), "--output-dir", str(run / "eval"), "score",
-         "--corpus", str(corpus), "--embeddings", str(run / "embeddings.tsv"),
-         "--trials", str(corpus / "trials_eval.tsv"),
-         "--backend", str(run / "dev" / "backend")],
-        ["--output-dir", str(run / "eval"), "eval",
-         "--scores", str(run / "eval" / "scores.tsv")],
-        ["--config", str(cfg), "--output-dir", str(run / "fused"), "fuse",
-         "--dev", str(run / "dev" / "scores.tsv"),
-         "--inputs", str(run / "eval" / "scores.tsv")],
-        ["--output-dir", str(run), "project",
-         "--embeddings", str(run / "embeddings.tsv")],
-    ]
-    for argv in steps:
+    run_desk(root, corpus_seed=5, train_seed=0, speakers=6, utterances=8,
+             config=PipelineConfig(epochs=2, batch_size=8, learning_rate=0.0003))
+    corpus, run = root / "corpus", root / "run"
+    for argv in (
+            ["--config", str(root / "pipeline.cfg"),
+             "--output-dir", str(run / "fused"), "fuse",
+             "--dev", str(run / "dev" / "scores.tsv"),
+             "--inputs", str(run / "eval" / "scores.tsv")],
+            ["--output-dir", str(run), "project",
+             "--embeddings", str(run / "embeddings.tsv")]):
         assert main(argv) == 0, argv
     return corpus, run
 
@@ -98,12 +83,12 @@ class TestPipelineArtifacts:
     def test_backend_artifact_reused(self, pipeline):
         _, run = pipeline
         assert (run / "dev" / "backend" / "manifest.txt").exists()
-        # eval scoring reused --backend, so it wrote no backend of its own
+        # run_desk scores eval with dev's backend, so eval writes none
         assert not (run / "eval" / "backend").exists()
 
     def test_reused_backend_scores_like_fresh_fit(self, pipeline, tmp_path):
         corpus, run = pipeline
-        assert main(["--config", str(run.parent / "run.cfg"),
+        assert main(["--config", str(run.parent / "pipeline.cfg"),
                      "--output-dir", str(tmp_path), "score",
                      "--corpus", str(corpus),
                      "--embeddings", str(run / "embeddings.tsv"),
@@ -402,6 +387,64 @@ class TestErrorTyping:
         assert err.startswith("error: ")
         assert f"'{utt}'" in err and f"'{model}'" in err
 
+    @staticmethod
+    def _one_error(capsys):
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_nonfinite_test_embedding_names_utterance(
+            self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        utt = (corpus / "trials_eval.tsv").read_text().split("\t")[1]
+        emb = tmp_path / "embeddings.tsv"
+        emb.write_text("".join(
+            ln.rsplit(" ", 1)[0] + " nan\n" if ln.startswith(utt + "\t") else ln
+            for ln in (run / "embeddings.tsv").read_text().splitlines(True)))
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_eval.tsv"),
+                   "--backend", str(run / "dev" / "backend")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"'{utt}' has a non-finite embedding" in err
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_embedding_width_must_match_backend(self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        rows = [ln.split("\t") for ln in
+                (run / "embeddings.tsv").read_text().splitlines()]
+        emb = tmp_path / "embeddings.tsv"
+        emb.write_text("".join("\t".join(r[:3] + [" ".join(r[3].split()[:64])])
+                               + "\n" for r in rows))
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_eval.tsv"),
+                   "--backend", str(run / "dev" / "backend")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert "embeddings have 64 values, but its backend was fitted on 128" in err
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--inputs", "nan"),
+                                             ("--dev", "nan"), ("--dev", "inf")])
+    def test_nonfinite_fuse_score_names_file(self, pipeline, tmp_path, capsys,
+                                             flag, value):
+        _, run = pipeline
+        files = {"--dev": run / "dev" / "scores.tsv",
+                 "--inputs": run / "eval" / "scores.tsv"}
+        first, *rest = files[flag].read_text().splitlines(True)
+        files[flag] = tmp_path / "bad.tsv"
+        files[flag].write_text(first.rsplit("\t", 1)[0] + f"\t{value}\n"
+                               + "".join(rest))
+        rc = main(["--output-dir", str(tmp_path / "out"), "fuse",
+                   "--dev", str(files["--dev"]),
+                   "--inputs", str(files["--inputs"])])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"{files[flag]}: non-finite score {value}" in err
+        assert not (tmp_path / "out" / "fused_scores.tsv").exists()
+
     def test_binary_trials_file(self, pipeline, tmp_path, capsys):
         corpus, run = pipeline
         trials = tmp_path / "trials.tsv"
@@ -441,7 +484,7 @@ class TestSeparableFusionWarning:
 
     def test_pipeline_fuse_warns_once(self, pipeline, tmp_path, capsys):
         _, run = pipeline
-        self._fuse(tmp_path, run / "dev" / "scores.tsv", run.parent / "run.cfg")
+        self._fuse(tmp_path, run / "dev" / "scores.tsv", run.parent / "pipeline.cfg")
         warnings = self._warnings(capsys)
         assert len(warnings) == 1
         assert "arbitrary" in warnings[0] and "fusion_l2 > 0" in warnings[0]
