@@ -21,18 +21,17 @@ from tdsv.resnet import PRESETS, build_network, count_parameters
 def stage_shapes(net) -> list[tuple[str, tuple[int, ...]]]:
     """``(stage, output shape without the batch axis)`` for ``stem``,
     ``maxpool``, ``block1`` ... ``blockN``, ``avgpool`` and ``head``, from
-    one zero input of the network's configured size."""
+    one zero input of the network's configured size.  Runs the stem conv,
+    walks ``net.trunk`` (its leading ReLU closes the stem), then the head."""
     cfg = net.config
     h = np.zeros((1, cfg.input_height, cfg.input_width, 1), dtype=np.float32)
     h = net.stem_conv.forward(h)
-    stages = [("stem", h.shape[1:])]
-    h = net.stem_pool.forward(net.stem_relu.forward(h))
-    stages.append(("maxpool", h.shape[1:]))
-    for i, block in enumerate(net.blocks, start=1):
-        h = block.forward(h, train=True)
-        stages.append((f"block{i}", h.shape[1:]))
-    h = net.pool.forward(h)
-    stages.append(("avgpool", h.shape[1:]))
+    names = ["stem", "maxpool",
+             *(f"block{i}" for i in range(1, len(net.blocks) + 1)), "avgpool"]
+    stages = []
+    for name, layer in zip(names, net.trunk, strict=True):
+        h = layer.forward(h, train=True)
+        stages.append((name, h.shape[1:]))
     stages.append(("head", net.head.forward(h).shape[1:]))
     return stages
 

@@ -239,7 +239,8 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
     phrase ids.  WCCN is fitted on every background utterance of the phrase.
     The s-norm cohort is all of them when ``cohort_size`` is 0, else the
     first ``cohort_size`` taken round-robin across speakers, each speaker's
-    utterances in id order; cohort rows follow sorted ids.
+    utterances in id order; cohort rows follow sorted ids.  A background
+    vector with a non-finite component is a NumericalError naming it.
     """
     backends = {}
     for phrase in sorted(background_utts_by_phrase):
@@ -253,6 +254,9 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
                 raise InsufficientDataError(
                     f"utterance '{utt}' belongs to phrase '{rec.phrase_id}', "
                     f"not '{phrase}'")
+            if not np.isfinite(rec.vector).all():
+                raise NumericalError(
+                    f"background utterance '{utt}' has a non-finite embedding")
             by_speaker.setdefault(rec.speaker_id, []).append(utt)
         wccn = fit_wccn({s: np.stack([records[u].vector for u in utts])
                          for s, utts in by_speaker.items()}, phrase)
@@ -282,14 +286,14 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
     Phrase isolation is enforced: a trial's model, test utterance, and
     backend must all carry the trial's phrase id.  Each distinct (model,
     phrase) pair, then each distinct (test, phrase) pair, is checked in the
-    order the table first names it, before any scoring.  A test vector with
-    a non-finite component is a NumericalError naming the utterance (a model
-    vector already fails in ``length_normalize``), and embeddings of another
-    width than the phrase's backend a DimensionError.  Each distinct model
-    and test vector is then transformed into its phrase's WCCN space once;
-    the s-norm statistics take one cohort product per phrase for its models
-    and one for its test utterances, and each raw score is a scalar
-    ``cosine_score`` of two transformed vectors.
+    order the table first names it, before any scoring.  An enrollment or
+    test vector with a non-finite component is a NumericalError naming the
+    utterance, and embeddings of another width than the phrase's backend a
+    DimensionError.  Each distinct model and test vector is then
+    transformed into its phrase's WCCN space once; the s-norm statistics
+    take one cohort product per phrase for its models and one for its test
+    utterances, and each raw score is a scalar ``cosine_score`` of two
+    transformed vectors.
     """
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
@@ -305,6 +309,11 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
             raise InsufficientDataError(
                 f"model '{model}' mixes phrases {sorted(phrases)}")
         model_phrase[model] = phrases.pop()
+        for u, r in zip(utts, recs):
+            if not np.isfinite(r.vector).all():
+                raise NumericalError(
+                    f"enrollment utterance '{u}' of model '{model}' has a "
+                    f"non-finite embedding")
         model_vec[model] = enroll_model_vector([r.vector for r in recs])
 
     # per phrase, the vectors of the models and test utterances its trials

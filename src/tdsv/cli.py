@@ -126,9 +126,14 @@ def _load_pipeline_config(args):
 
 
 def _fixed_spectrogram(path, width):
+    from .errors import TooShortError
     from .features import compute_spectrogram, fit_length, read_wav
 
-    return fit_length(compute_spectrogram(read_wav(path)).bins, width)
+    try:
+        spec = compute_spectrogram(read_wav(path))
+    except TooShortError as exc:
+        raise TooShortError(f"{path}: {exc}") from None
+    return fit_length(spec.bins, width)
 
 
 def cmd_synth(args) -> int:
@@ -310,13 +315,19 @@ def cmd_project(args) -> int:
     import numpy as np
 
     from .backend import pca_project
+    from .errors import NumericalError
     from .fileio import atomic_write_text
     from .trials import read_embeddings
 
     records = sorted(read_embeddings(args.embeddings).values(),
                      key=lambda r: r.utterance_id)
-    coords = pca_project(np.stack([r.vector for r in records]),
-                         k=args.components)
+    matrix = np.stack([r.vector for r in records])
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"{args.embeddings}: utterance "
+                             f"'{records[bad[0]].utterance_id}' has a "
+                             f"non-finite embedding")
+    coords = pca_project(matrix, k=args.components)
     header = "utterance_id,speaker_id,phrase_id," + ",".join(
         f"pc{i + 1}" for i in range(args.components))
     lines = [header]

@@ -201,16 +201,12 @@ class BatchNorm(_Trainable):
         self._init_grads()
         self._cache = None
 
-    def _axes(self, x):
+    def forward(self, x, train=False):
         if x.shape[-1] != self.channels:
             raise DimensionError(
                 f"batchnorm expects last dim {self.channels}, got {x.shape}")
-        return tuple(range(x.ndim - 1))
-
-    def forward(self, x, train=False):
-        axes = self._axes(x)
+        count = x.size // self.channels
         if train:
-            count = x.size // self.channels
             mean = _colsum(x) / count
             xhat = x - mean
             var = _colsum(np.square(xhat)) / count  # biased
@@ -226,13 +222,13 @@ class BatchNorm(_Trainable):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
-        self._cache = (xhat, inv_std, axes, train)
+        self._cache = (xhat, inv_std, count, train)
         out = xhat * self.gamma
         out += self.beta
         return _check("batchnorm", out)
 
     def backward(self, grad_out):
-        xhat, inv_std, axes, train = self._cache
+        xhat, inv_std, m, train = self._cache
         if grad_out.shape != xhat.shape:
             raise DimensionError(
                 f"batchnorm backward expects {xhat.shape}, got {grad_out.shape}")
@@ -243,7 +239,6 @@ class BatchNorm(_Trainable):
         if not train:
             dxhat *= inv_std
             return dxhat
-        m = float(np.prod([xhat.shape[a] for a in axes]))
         # d/dx of ((x - mean)/sqrt(var + eps)) with mean/var functions of x:
         # (inv_std/m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
         # evaluated in place in that order

@@ -54,61 +54,66 @@ PRESETS = {
 }
 
 
+def _forward(layers, x, train):
+    """Run ``x`` through ``layers`` in order; an empty list returns ``x``.
+
+    A ``Conv2D`` is called as ``forward(x)``: it has no train mode, and
+    ``tdsvbench/selfcheck.py`` patches ``Conv2D.forward(self, x)`` in that
+    form, so it takes no flag.  Every other layer gets ``forward(x, train)``."""
+    for layer in layers:
+        x = layer.forward(x) if isinstance(layer, Conv2D) else layer.forward(x, train)
+    return x
+
+
+def _backward(layers, g):
+    """Run ``g`` back through ``layers`` in reverse; an empty list returns ``g``."""
+    for layer in reversed(layers):
+        g = layer.backward(g)
+    return g
+
+
 class ResidualBlock:
     """Pre-activation unit: out = shortcut(x) + conv2(relu(bn2(conv1(relu(bn1(x)))))).
 
-    shortcut(x) is the raw input when shapes match, else 1x1 strided conv + BN.
+    ``branch`` and ``shortcut`` are the two paths as ordered layer lists,
+    which forward walks in order and backward in reverse.  The shortcut is
+    empty (the raw input) when shapes match, else 1x1 strided conv + BN.
     """
 
     def __init__(self, in_channels, out_channels, stride, *, rng=None,
                  dtype=np.float32):
         self.bn1 = BatchNorm(in_channels, dtype=dtype)
-        self.relu1 = ReLU()
         self.conv1 = Conv2D(in_channels, out_channels, 3, stride, rng=rng, dtype=dtype)
         self.bn2 = BatchNorm(out_channels, dtype=dtype)
-        self.relu2 = ReLU()
         self.conv2 = Conv2D(out_channels, out_channels, 3, 1, rng=rng, dtype=dtype)
+        self.branch = [self.bn1, ReLU(), self.conv1, self.bn2, ReLU(), self.conv2]
+        self.proj = self.proj_bn = None
         if stride != 1 or in_channels != out_channels:
             self.proj = Conv2D(in_channels, out_channels, 1, stride, rng=rng, dtype=dtype)
             self.proj_bn = BatchNorm(out_channels, dtype=dtype)
-        else:
-            self.proj = None
-            self.proj_bn = None
+        self.shortcut = [] if self.proj is None else [self.proj, self.proj_bn]
 
     def layers(self):
-        yield "bn1", self.bn1
-        yield "conv1", self.conv1
-        yield "bn2", self.bn2
-        yield "conv2", self.conv2
-        if self.proj is not None:
-            yield "proj", self.proj
-            yield "proj_bn", self.proj_bn
+        """Named trainable layers; the ReLUs hold no arrays and live only in
+        ``branch``."""
+        for name in ("bn1", "conv1", "bn2", "conv2", "proj", "proj_bn"):
+            layer = getattr(self, name)
+            if layer is not None:
+                yield name, layer
 
     def forward(self, x, train=False):
-        h = self.bn1.forward(x, train)
-        h = self.relu1.forward(h)
-        h = self.conv1.forward(h)
-        h = self.bn2.forward(h, train)
-        h = self.relu2.forward(h)
-        h = self.conv2.forward(h)
-        if self.proj is None:
-            return h + x
-        return h + self.proj_bn.forward(self.proj.forward(x), train)
+        return _forward(self.branch, x, train) + _forward(self.shortcut, x, train)
 
     def backward(self, grad_out):
-        g = self.conv2.backward(grad_out)
-        g = self.relu2.backward(g)
-        g = self.bn2.backward(g)
-        g = self.conv1.backward(g)
-        g = self.relu1.backward(g)
-        g = self.bn1.backward(g)
-        if self.proj is None:
-            return g + grad_out
-        return g + self.proj.backward(self.proj_bn.backward(grad_out))
+        return _backward(self.branch, grad_out) + _backward(self.shortcut, grad_out)
 
 
 class Network:
-    """Stem, residual blocks, global average pool, dense head.
+    """Stem conv, trunk, dense head.
+
+    ``trunk`` is every layer between the stem conv and the head, in order:
+    ReLU, 3x3/2x2 max-pool, the residual blocks, global average pool.
+    ``features``, ``backward`` and the architecture script all walk it.
 
     ``seed=None`` draws no random numbers: conv and dense weights start at
     zero, a skeleton for ``load_network`` to fill.
@@ -119,14 +124,12 @@ class Network:
         self.config = config
         rng = None if seed is None else np.random.default_rng(seed)
         self.stem_conv = Conv2D(1, config.stem_channels, 7, 2, rng=rng, dtype=dtype)
-        self.stem_relu = ReLU()
-        self.stem_pool = MaxPool(3, 2)
         self.blocks = []
         in_ch = config.stem_channels
         for ch, st in zip(config.block_channels, config.block_strides):
             self.blocks.append(ResidualBlock(in_ch, ch, st, rng=rng, dtype=dtype))
             in_ch = ch
-        self.pool = GlobalAvgPool()
+        self.trunk = [ReLU(), MaxPool(3, 2), *self.blocks, GlobalAvgPool()]
         self.head = Dense(in_ch, config.num_speakers, rng=rng, dtype=dtype)
 
     def layers(self):
@@ -160,12 +163,7 @@ class Network:
 
     def features(self, x, train=False):
         self._check_input(x)
-        h = self.stem_conv.forward(x)
-        h = self.stem_relu.forward(h)
-        h = self.stem_pool.forward(h)
-        for block in self.blocks:
-            h = block.forward(h, train)
-        return self.pool.forward(h)
+        return _forward([self.stem_conv, *self.trunk], x, train)
 
     def forward(self, x, train=False):
         return self.head.forward(self.features(x, train))
@@ -174,12 +172,7 @@ class Network:
         """Accumulate every parameter gradient; return the gradient w.r.t.
         the input, or None when ``input_grad`` is false (training never uses
         it, and it costs the stem conv's per-tap input-gradient products)."""
-        g = self.head.backward(grad_logits)
-        g = self.pool.backward(g)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        g = self.stem_pool.backward(g)
-        g = self.stem_relu.backward(g)
+        g = _backward(self.trunk, self.head.backward(grad_logits))
         if not input_grad:
             self.stem_conv._param_backward(g)
             return None

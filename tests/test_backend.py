@@ -510,6 +510,29 @@ class TestPhraseGlue:
         with pytest.raises(NumericalError, match="'s1_p0_2' has a non-finite"):
             score_trials(trials, records, enroll, backends)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_enrollment_vector_rejected(self, scored_setup, bad):
+        records, backends, enroll, trials = scored_setup
+        rec = records["s1_p0_1"]
+        vector = rec.vector.copy()
+        vector[3] = bad
+        records = {**records, "s1_p0_1": replace(rec, vector=vector)}
+        with pytest.raises(NumericalError, match="enrollment utterance "
+                           "'s1_p0_1' of model 's1-p0' has a non-finite"):
+            score_trials(trials, records, enroll, backends)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_fit_backends_rejects_nonfinite_vector(self, bad):
+        records = _toy_records(np.random.default_rng(35))
+        rec = records["s2_p0_1"]
+        vector = rec.vector.copy()
+        vector[0] = bad
+        records = {**records, "s2_p0_1": replace(rec, vector=vector)}
+        background = {"p0": [u for u, r in records.items() if r.phrase_id == "p0"]}
+        with pytest.raises(NumericalError, match="background utterance "
+                           "'s2_p0_1' has a non-finite"):
+            fit_backends(records, background)
+
     def test_width_must_match_backend(self, scored_setup):
         records, backends, enroll, trials = scored_setup
         narrow = {u: replace(r, vector=r.vector[:6]) for u, r in records.items()}

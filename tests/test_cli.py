@@ -393,14 +393,19 @@ class TestErrorTyping:
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
         return err
 
+    @staticmethod
+    def _nan_embedding(run, utt, path):
+        """Copy of the run's embeddings with ``utt``'s last component nan."""
+        path.write_text("".join(
+            ln.rsplit(" ", 1)[0] + " nan\n" if ln.startswith(utt + "\t") else ln
+            for ln in (run / "embeddings.tsv").read_text().splitlines(True)))
+        return path
+
     def test_nonfinite_test_embedding_names_utterance(
             self, pipeline, tmp_path, capsys):
         corpus, run = pipeline
         utt = (corpus / "trials_eval.tsv").read_text().split("\t")[1]
-        emb = tmp_path / "embeddings.tsv"
-        emb.write_text("".join(
-            ln.rsplit(" ", 1)[0] + " nan\n" if ln.startswith(utt + "\t") else ln
-            for ln in (run / "embeddings.tsv").read_text().splitlines(True)))
+        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(corpus), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_eval.tsv"),
@@ -409,6 +414,74 @@ class TestErrorTyping:
         err = self._one_error(capsys)
         assert f"'{utt}' has a non-finite embedding" in err
         assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_nonfinite_enrollment_embedding_names_utterance_and_model(
+            self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        model, utt = (corpus / "enroll.tsv").read_text().splitlines()[0].split("\t")
+        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_dev.tsv"),
+                   "--backend", str(run / "dev" / "backend")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert (f"enrollment utterance '{utt}' of model '{model}' has a "
+                f"non-finite embedding") in err
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_nonfinite_background_embedding_names_utterance(
+            self, pipeline, tmp_path, capsys):
+        from tdsv.trials import read_corpus
+
+        corpus, run = pipeline
+        utt = next(e.utterance_id for e in read_corpus(corpus / "corpus.tsv")
+                   if e.split == "bg")
+        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_dev.tsv")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"background utterance '{utt}' has a non-finite embedding" in err
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_project_nonfinite_embedding_names_utterance_and_file(
+            self, pipeline, tmp_path, capsys):
+        _, run = pipeline
+        utt = sorted(ln.split("\t")[0] for ln in
+                     (run / "embeddings.tsv").read_text().splitlines())[3]
+        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        rc = main(["--output-dir", str(tmp_path / "out"), "project",
+                   "--embeddings", str(emb)])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"{emb}: utterance '{utt}' has a non-finite embedding" in err
+        assert not (tmp_path / "out" / "projection.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "embed"])
+    def test_short_wav_names_file(self, pipeline, tmp_path, capsys, command):
+        from tdsv.trials import read_corpus
+
+        corpus, run = pipeline
+        shutil.copytree(corpus, tmp_path / "corpus")
+        entry = next(e for e in read_corpus(corpus / "corpus.tsv")
+                     if e.split == "bg")
+        wav = tmp_path / "corpus" / entry.wav_path
+        with wave.open(str(wav), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(np.zeros(100, dtype="<i2").tobytes())
+        extra = (["--model", str(run / "model")] if command == "embed" else [])
+        rc = main(["--config", str(run.parent / "pipeline.cfg"),
+                   "--output-dir", str(tmp_path / "out"), command,
+                   "--corpus", str(tmp_path / "corpus"), *extra])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert (f"{wav}: signal of 100 samples is shorter than one "
+                f"256-sample analysis window") in err
+        assert not (tmp_path / "out").exists()
 
     def test_embedding_width_must_match_backend(self, pipeline, tmp_path, capsys):
         corpus, run = pipeline

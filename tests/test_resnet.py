@@ -1,6 +1,7 @@
 """Residual embedding network: construction, shapes, gradients, IO."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,9 @@ from tdsv.backend import length_normalize
 from tdsv.errors import (DegenerateError, DimensionError, TensorFormatError,
                          UninitializedStatsError, UnknownIdError)
 from tdsv.features import compute_spectrogram, fit_length
-from tdsv.resnet import (NetworkConfig, Network, PRESETS, build_network,
-                         count_parameters, extract_embedding, load_network,
-                         save_network)
+from tdsv.resnet import (NetworkConfig, Network, PRESETS, ResidualBlock,
+                         build_network, count_parameters, extract_embedding,
+                         load_network, save_network)
 from tdsv.synth import (SynthSpec, _utterance_plan, make_phrase, make_voice,
                         speaker_id, split_speakers, synthesize_utterance)
 
@@ -174,6 +175,51 @@ class TestGradients:
         gx = net.backward(grad_logits)
         num = numeric_gradient(loss, x, step=1e-5)
         assert relative_error(gx, num, floor=1e-8) < 1e-3
+
+    def test_every_layer_walked_once_each_way(self, monkeypatch):
+        """One step with the input gradient runs every layer's (and block's)
+        forward and backward exactly once, and each backward runs before the
+        backward of whatever produced that layer's forward input."""
+        fwd, bwd, edges, producer, outputs = [], [], [], {}, []
+
+        def spy(cls):
+            forward, backward = cls.forward, cls.backward
+
+            def spied_forward(self, x, *train):
+                fwd.append(self)
+                edges.append((producer.get(id(x)), self))
+                out = forward(self, x, *train)
+                producer[id(out)] = self
+                outputs.append(out)  # keeps every id unique
+                return out
+
+            def spied_backward(self, grad_out):
+                bwd.append(self)
+                return backward(self, grad_out)
+
+            monkeypatch.setattr(cls, "forward", spied_forward)
+            monkeypatch.setattr(cls, "backward", spied_backward)
+
+        for cls in (nn.Conv2D, nn.BatchNorm, nn.ReLU, nn.MaxPool,
+                    nn.GlobalAvgPool, nn.Dense, ResidualBlock):
+            spy(cls)
+        net = _tiny_net()
+        x, labels = _tiny_batch()
+        _, g = nn.softmax_cross_entropy(net.forward(x, train=True), labels)
+        assert net.backward(g, input_grad=True).shape == x.shape
+
+        # TINY: stem conv, 4 blocks of 2 convs, 2 BNs and 2 ReLUs, one
+        # projection (block3), stem ReLU, max-pool, average pool, head
+        assert Counter(type(layer).__name__ for layer in fwd) == {
+            "Conv2D": 10, "BatchNorm": 9, "ReLU": 9, "MaxPool": 1,
+            "GlobalAvgPool": 1, "Dense": 1, "ResidualBlock": 4}
+        assert len(set(map(id, fwd))) == len(fwd)
+        assert sorted(map(id, bwd)) == sorted(map(id, fwd))
+        assert {id(layer) for _, layer in net.layers()} <= set(map(id, fwd))
+        assert [dst for src, dst in edges if src is None] == [net.stem_conv]
+        when = {id(layer): i for i, layer in enumerate(bwd)}
+        for src, dst in edges[1:]:
+            assert when[id(dst)] < when[id(src)], (src, dst)
 
     def test_float32_desk_step_tracks_float64(self):
         """The desk run's first training step (corpus seed 7, train seed 0,
