@@ -31,6 +31,7 @@ for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
 from tdsv.config import PipelineConfig, save_config
+from tdsv.errors import ConfigError
 
 # the run directory's files that digests() covers, besides the model/ tree
 DIGESTED_FILES = ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
@@ -116,11 +117,14 @@ def main():
                     help="utterances per speaker, split across phrases")
     ap.add_argument("--epochs", type=int, default=30)
     args = ap.parse_args()
+    try:
+        config = PipelineConfig(epochs=args.epochs)
+    except ConfigError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
     run_desk(args.workdir, corpus_seed=args.corpus_seed,
              train_seed=args.train_seed, speakers=args.speakers,
-             utterances=args.utterances,
-             config=PipelineConfig(epochs=args.epochs))
+             utterances=args.utterances, config=config)
     run_dir = Path(args.workdir) / "run"
     for split in ("dev", "eval"):
         print(f"\n{split} summary ({run_dir / split / 'summary.txt'}):")

@@ -231,6 +231,28 @@ class PhraseBackend:
     cohort: np.ndarray  # [n_cohort, d] raw embeddings, rows follow cohort_ids
 
 
+def _embedding(records: dict, utt: str, kind: str, phrase: str | None = None,
+               model: str | None = None):
+    """The record of ``kind`` utterance ``utt``, checked to exist, to carry
+    ``phrase`` when one is given, and to hold a vector whose squared norm is
+    finite and nonzero (what length_normalize and cosine_score accept).
+    Each failure names the utterance, and ``model`` when one is given."""
+    rec = records.get(utt)
+    if (rec is not None and (phrase is None or rec.phrase_id == phrase)
+            and 0.0 < rec.vector.dot(rec.vector) < math.inf):
+        return rec
+    name = f"{kind} utterance '{utt}'" + (
+        f" of model '{model}'" if model is not None else "")
+    if rec is None:
+        raise UnknownIdError(f"{name} has no embedding")
+    if phrase is not None and rec.phrase_id != phrase:
+        raise InsufficientDataError(
+            f"{name} is phrase '{rec.phrase_id}', not '{phrase}'")
+    if not rec.vector.dot(rec.vector) < math.inf:  # nan or inf
+        raise NumericalError(f"{name} has a non-finite embedding")
+    raise DegenerateError(f"{name} has a zero-norm embedding")
+
+
 def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
                  cohort_size: int = 0) -> dict[str, "PhraseBackend"]:
     """Fit one PhraseBackend per phrase from its background utterances.
@@ -239,24 +261,13 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
     phrase ids.  WCCN is fitted on every background utterance of the phrase.
     The s-norm cohort is all of them when ``cohort_size`` is 0, else the
     first ``cohort_size`` taken round-robin across speakers, each speaker's
-    utterances in id order; cohort rows follow sorted ids.  A background
-    vector with a non-finite component is a NumericalError naming it.
+    utterances in id order; cohort rows follow sorted ids.
     """
     backends = {}
     for phrase in sorted(background_utts_by_phrase):
         by_speaker: dict[str, list[str]] = {}
         for utt in sorted(background_utts_by_phrase[phrase]):
-            if utt not in records:
-                raise UnknownIdError(
-                    f"background utterance '{utt}' has no embedding")
-            rec = records[utt]
-            if rec.phrase_id != phrase:
-                raise InsufficientDataError(
-                    f"utterance '{utt}' belongs to phrase '{rec.phrase_id}', "
-                    f"not '{phrase}'")
-            if not np.isfinite(rec.vector).all():
-                raise NumericalError(
-                    f"background utterance '{utt}' has a non-finite embedding")
+            rec = _embedding(records, utt, "background", phrase)
             by_speaker.setdefault(rec.speaker_id, []).append(utt)
         wccn = fit_wccn({s: np.stack([records[u].vector for u in utts])
                          for s, utts in by_speaker.items()}, phrase)
@@ -286,34 +297,22 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
     Phrase isolation is enforced: a trial's model, test utterance, and
     backend must all carry the trial's phrase id.  Each distinct (model,
     phrase) pair, then each distinct (test, phrase) pair, is checked in the
-    order the table first names it, before any scoring.  An enrollment or
-    test vector with a non-finite component is a NumericalError naming the
-    utterance, and embeddings of another width than the phrase's backend a
-    DimensionError.  Each distinct model and test vector is then
-    transformed into its phrase's WCCN space once; the s-norm statistics
-    take one cohort product per phrase for its models and one for its test
-    utterances, and each raw score is a scalar ``cosine_score`` of two
-    transformed vectors.
+    order the table first names it, before any scoring; embeddings of
+    another width than the phrase's backend are a DimensionError.  Each
+    distinct model and test vector is then transformed into its phrase's
+    WCCN space once; the s-norm statistics take one cohort product per
+    phrase for its models and one for its test utterances, and each raw
+    score is a scalar ``cosine_score`` of two transformed vectors.
     """
     model_phrase: dict[str, str] = {}
     model_vec: dict[str, np.ndarray] = {}
     for model, utts in enroll_map.items():
-        missing = [u for u in utts if u not in records]
-        if missing:
-            raise UnknownIdError(
-                f"no embedding for enrollment utterance '{missing[0]}' of "
-                f"model '{model}'")
-        recs = [records[u] for u in utts]
+        recs = [_embedding(records, u, "enrollment", model=model) for u in utts]
         phrases = {r.phrase_id for r in recs}
         if len(phrases) != 1:
             raise InsufficientDataError(
                 f"model '{model}' mixes phrases {sorted(phrases)}")
         model_phrase[model] = phrases.pop()
-        for u, r in zip(utts, recs):
-            if not np.isfinite(r.vector).all():
-                raise NumericalError(
-                    f"enrollment utterance '{u}' of model '{model}' has a "
-                    f"non-finite embedding")
         model_vec[model] = enroll_model_vector([r.vector for r in recs])
 
     # per phrase, the vectors of the models and test utterances its trials
@@ -330,52 +329,56 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
                 f"trial says '{phrase}'")
         needed.setdefault(phrase, ({}, {}))[0][model] = model_vec[model]
     for test_id, phrase in dict.fromkeys(zip(table.test_ids, table.phrase_ids)):
-        if test_id not in records:
-            raise UnknownIdError(
-                f"no embedding for test utterance '{test_id}'")
-        test = records[test_id]
-        if test.phrase_id != phrase:
-            raise InsufficientDataError(
-                f"test utterance '{test_id}' is phrase "
-                f"'{test.phrase_id}' but trial says '{phrase}'")
-        if not np.isfinite(test.vector).all():
-            raise NumericalError(
-                f"test utterance '{test_id}' has a non-finite embedding")
-        needed[phrase][1][test_id] = test.vector
+        needed[phrase][1][test_id] = _embedding(records, test_id, "test",
+                                                phrase).vector
 
-    # a model or test utterance carries one phrase, so its id alone keys it.
-    # One matvec per vector, as cosine_score(e1, e2, t) does: a stacked
-    # product could round differently.
-    model_wccn: dict[str, np.ndarray] = {}
-    test_wccn: dict[str, np.ndarray] = {}
-    model_stats: dict[str, tuple[float, float]] = {}
-    test_stats: dict[str, tuple[float, float]] = {}
-    for phrase, vectors_by_kind in needed.items():
+    # per side (models, tests): each vector in WCCN space and its s-norm
+    # statistics.  A model or test utterance carries one phrase, so its id
+    # alone keys it.  One matvec per vector, as cosine_score(e1, e2, t)
+    # does: a stacked product could round differently.
+    moved: tuple[dict, dict] = ({}, {})
+    stats: tuple[dict, dict] = ({}, {})
+    for phrase, sides in needed.items():
         backend = backends[phrase]
         width = backend.wccn.matrix.shape[0]
-        dim = next(iter(vectors_by_kind[0].values())).size
+        dim = next(iter(sides[0].values())).size
         if dim != width:
             raise DimensionError(
                 f"phrase '{phrase}': embeddings have {dim} values, but its "
                 f"backend was fitted on {width}")
-        for vectors, moved, stats in zip(vectors_by_kind, (model_wccn, test_wccn),
-                                         (model_stats, test_stats)):
-            moved.update((k, transform(backend.wccn, v))
-                         for k, v in vectors.items())
+        for vectors, side_moved, side_stats in zip(sides, moved, stats):
+            side_moved.update((k, transform(backend.wccn, v))
+                              for k, v in vectors.items())
             if snorm:
                 mu, sigma = cohort_stats(np.stack(list(vectors.values())),
                                          backend.cohort, backend.wccn)
-                stats.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
+                side_stats.update(zip(vectors, zip(mu.tolist(), sigma.tolist())))
 
+    model_wccn, test_wccn = moved
     raw = [cosine_score(model_wccn[m], test_wccn[t])
            for m, t in zip(table.enroll_ids, table.test_ids)]
     if not snorm:
         return raw
+    model_stats, test_stats = stats
     return [apply_snorm(s, model_stats[m], test_stats[t])
             for m, t, s in zip(table.enroll_ids, table.test_ids, raw)]
 
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
+    """Write ``backends`` as one directory artifact.  The manifest joins
+    phrase and cohort ids with ',' and keys each cohort list
+    ``cohort.<phrase>=``, and phrase ids name the tensor files, so an id
+    that holds one of these separators is a TensorFormatError before any
+    file is written."""
+    for phrase, b in backends.items():
+        for kind, ids, separators in (("phrase", (phrase,), ",=/"),
+                                      ("cohort utterance", b.cohort_ids, ",")):
+            for i in ids:
+                for sep in separators:
+                    if sep in i:
+                        raise TensorFormatError(
+                            f"cannot save backend: {kind} id '{i}' "
+                            f"contains '{sep}'")
     fields = {"phrases": ",".join(sorted(backends))}
     tensors = {}
     for phrase in sorted(backends):

@@ -1,6 +1,7 @@
 """Scoring backend: WCCN algebra, cosine, s-norm, fusion, PCA, phrase glue."""
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -541,6 +542,37 @@ class TestPhraseGlue:
                                  "but its backend was fitted on 8"):
             score_trials(trials, narrow, enroll, backends)
 
+    @pytest.mark.parametrize("kind, failure", [
+        (kind, failure) for kind in ("background", "enrollment", "test")
+        for failure in ("missing", "phrase", "nan", "zero")
+        if (kind, failure) != ("enrollment", "phrase")])
+    def test_lookup_failure_names_utterance(self, scored_setup, kind, failure):
+        records, backends, enroll, trials = scored_setup
+        utt, name = {
+            "background": ("s2_p0_1", "background utterance 's2_p0_1'"),
+            "enrollment": ("s1_p0_1",
+                           "enrollment utterance 's1_p0_1' of model 's1-p0'"),
+            "test": ("s1_p0_2", "test utterance 's1_p0_2'")}[kind]
+        error, says = {
+            "missing": (UnknownIdError, "has no embedding"),
+            "phrase": (InsufficientDataError, "is phrase 'p1', not 'p0'"),
+            "nan": (NumericalError, "has a non-finite embedding"),
+            "zero": (DegenerateError, "has a zero-norm embedding")}[failure]
+        background = {"p0": [u for u, r in records.items() if r.phrase_id == "p0"]}
+        rec = records.pop(utt)
+        vector = rec.vector.copy()
+        vector[3] = np.nan
+        edited = {"missing": None, "phrase": replace(rec, phrase_id="p1"),
+                  "nan": replace(rec, vector=vector),
+                  "zero": replace(rec, vector=np.zeros_like(vector))}[failure]
+        if edited is not None:
+            records[utt] = edited
+        with pytest.raises(error, match=re.escape(f"{name} {says}")):
+            if kind == "background":
+                fit_backends(records, background)
+            else:
+                score_trials(trials, records, enroll, backends)
+
     def test_backend_round_trip(self, scored_setup, tmp_path):
         records, backends, enroll, trials = scored_setup
         save_backends(tmp_path / "backend", backends)
@@ -563,6 +595,22 @@ class TestPhraseGlue:
             assert np.array_equal(r.cohort, b.cohort)
         assert (score_trials(trials, records, enroll, restored)
                 == score_trials(trials, records, enroll, backends))
+
+    @pytest.mark.parametrize("phrase, cohort_id, bad", [
+        ("p,0", "s0_p0_0", "phrase id 'p,0' contains ','"),
+        ("p=0", "s0_p0_0", "phrase id 'p=0' contains '='"),
+        ("p/0", "s0_p0_0", "phrase id 'p/0' contains '/'"),
+        ("p0", "s0,p0_0", "cohort utterance id 's0,p0_0' contains ','")])
+    def test_save_rejects_id_the_manifest_cannot_hold(
+            self, scored_setup, tmp_path, phrase, cohort_id, bad):
+        _, backends, _, _ = scored_setup
+        b = backends["p0"]
+        renamed = {phrase: replace(b, cohort_ids=(cohort_id,) + b.cohort_ids[1:]),
+                   "p1": backends["p1"]}
+        with pytest.raises(TensorFormatError, match=re.escape(bad)) as exc:
+            save_backends(tmp_path / "backend", renamed)
+        assert "\n" not in str(exc.value)
+        assert not (tmp_path / "backend").exists()
 
     def test_snorm_matches_scalar_reference(self):
         records = _toy_records(np.random.default_rng(35), utts=4)
@@ -702,8 +750,9 @@ class TestScoreTrialsExact:
         records[ghost.utterance_id] = EmbeddingRecord(
             ghost.utterance_id, ghost.speaker_id, ghost.phrase_id,
             np.zeros_like(ghost.vector))
-        with pytest.raises(DegenerateError, match="zero-norm"):
+        with pytest.raises(DegenerateError, match="zero-norm") as exc:
             score_trials(trials, records, enroll, backends, snorm=snorm)
+        assert f"test utterance '{ghost.utterance_id}'" in str(exc.value)
 
     def test_cosine_score_in_wccn_space(self):
         rng = np.random.default_rng(9)

@@ -394,10 +394,15 @@ class TestErrorTyping:
         return err
 
     @staticmethod
-    def _nan_embedding(run, utt, path):
-        """Copy of the run's embeddings with ``utt``'s last component nan."""
+    def _bad_embedding(run, utt, path, value):
+        """Copy of the run's embeddings with every component of ``utt``'s
+        row set to ``value``."""
+        def row(ln):
+            head, values = ln.rstrip("\n").rsplit("\t", 1)
+            return f"{head}\t{' '.join([value] * len(values.split()))}\n"
+
         path.write_text("".join(
-            ln.rsplit(" ", 1)[0] + " nan\n" if ln.startswith(utt + "\t") else ln
+            row(ln) if ln.startswith(utt + "\t") else ln
             for ln in (run / "embeddings.tsv").read_text().splitlines(True)))
         return path
 
@@ -405,7 +410,7 @@ class TestErrorTyping:
             self, pipeline, tmp_path, capsys):
         corpus, run = pipeline
         utt = (corpus / "trials_eval.tsv").read_text().split("\t")[1]
-        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "nan")
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(corpus), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_eval.tsv"),
@@ -419,7 +424,7 @@ class TestErrorTyping:
             self, pipeline, tmp_path, capsys):
         corpus, run = pipeline
         model, utt = (corpus / "enroll.tsv").read_text().splitlines()[0].split("\t")
-        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "nan")
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(corpus), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_dev.tsv"),
@@ -437,7 +442,7 @@ class TestErrorTyping:
         corpus, run = pipeline
         utt = next(e.utterance_id for e in read_corpus(corpus / "corpus.tsv")
                    if e.split == "bg")
-        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "nan")
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(corpus), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_dev.tsv")])
@@ -451,13 +456,60 @@ class TestErrorTyping:
         _, run = pipeline
         utt = sorted(ln.split("\t")[0] for ln in
                      (run / "embeddings.tsv").read_text().splitlines())[3]
-        emb = self._nan_embedding(run, utt, tmp_path / "embeddings.tsv")
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "nan")
         rc = main(["--output-dir", str(tmp_path / "out"), "project",
                    "--embeddings", str(emb)])
         assert rc == 2
         err = self._one_error(capsys)
         assert f"{emb}: utterance '{utt}' has a non-finite embedding" in err
         assert not (tmp_path / "out" / "projection.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["enrollment", "background", "test"])
+    def test_zero_embedding_names_utterance(self, pipeline, tmp_path, capsys,
+                                            kind):
+        from tdsv.trials import read_corpus
+
+        corpus, run = pipeline
+        model, enrolled = (corpus / "enroll.tsv").read_text().splitlines()[0].split("\t")
+        bg = next(e.utterance_id for e in read_corpus(corpus / "corpus.tsv")
+                  if e.split == "bg")
+        test = (corpus / "trials_dev.tsv").read_text().split("\t")[1]
+        reuse = ["--backend", str(run / "dev" / "backend")]
+        utt, name, extra = {
+            "enrollment": (enrolled, f"enrollment utterance '{enrolled}' of "
+                                     f"model '{model}'", reuse),
+            "background": (bg, f"background utterance '{bg}'", []),
+            "test": (test, f"test utterance '{test}'", reuse)}[kind]
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "0")
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_dev.tsv"), *extra])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"{name} has a zero-norm embedding" in err
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_backend_id_with_separator_rejected_before_writing(
+            self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        shutil.copytree(corpus, tmp_path / "corpus",
+                        ignore=shutil.ignore_patterns("wav"))
+        table = (tmp_path / "corpus" / "corpus.tsv").read_text()
+        utt = next(ln.split("\t")[0] for ln in table.splitlines()
+                   if ln.split("\t")[3] == "bg")
+        (tmp_path / "corpus" / "corpus.tsv").write_text(
+            table.replace(utt + "\t", f"{utt},x\t"))
+        emb = tmp_path / "embeddings.tsv"
+        emb.write_text((run / "embeddings.tsv").read_text().replace(
+            utt + "\t", f"{utt},x\t"))
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(tmp_path / "corpus"), "--embeddings", str(emb),
+                   "--trials", str(corpus / "trials_dev.tsv")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert f"cohort utterance id '{utt},x' contains ','" in err
+        assert not (tmp_path / "out" / "backend").exists()
+        assert not (tmp_path / "out" / "scores.tsv").exists()
 
     @pytest.mark.parametrize("command", ["train", "embed"])
     def test_short_wav_names_file(self, pipeline, tmp_path, capsys, command):

@@ -15,3 +15,14 @@ def test_print_architecture_desk():
     totals = [ln for ln in out.stdout.splitlines()
               if ln.startswith("total parameters: ")]
     assert len(totals) == 1
+
+
+def test_desk_pipeline_bad_flag_is_usage_error(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_desk_pipeline.py"),
+         "--workdir", str(tmp_path / "work"), "--epochs", "0"],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stderr == ("run_desk_pipeline.py: error: epochs must be >= 1, "
+                          "got 0\n")
+    assert not (tmp_path / "work").exists()
