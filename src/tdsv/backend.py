@@ -238,9 +238,10 @@ def _embedding(records: dict, utt: str, kind: str, phrase: str | None = None,
     finite and nonzero (what length_normalize and cosine_score accept).
     Each failure names the utterance, and ``model`` when one is given."""
     rec = records.get(utt)
-    if (rec is not None and (phrase is None or rec.phrase_id == phrase)
-            and 0.0 < rec.vector.dot(rec.vector) < math.inf):
-        return rec
+    if rec is not None:
+        square = rec.vector.dot(rec.vector)
+        if (phrase is None or rec.phrase_id == phrase) and 0.0 < square < math.inf:
+            return rec
     name = f"{kind} utterance '{utt}'" + (
         f" of model '{model}'" if model is not None else "")
     if rec is None:
@@ -248,8 +249,10 @@ def _embedding(records: dict, utt: str, kind: str, phrase: str | None = None,
     if phrase is not None and rec.phrase_id != phrase:
         raise InsufficientDataError(
             f"{name} is phrase '{rec.phrase_id}', not '{phrase}'")
-    if not rec.vector.dot(rec.vector) < math.inf:  # nan or inf
+    if not np.isfinite(rec.vector).all():
         raise NumericalError(f"{name} has a non-finite embedding")
+    if square == math.inf:
+        raise NumericalError(f"{name} has an embedding whose norm overflows")
     raise DegenerateError(f"{name} has a zero-norm embedding")
 
 
@@ -367,11 +370,10 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
     """Write ``backends`` as one directory artifact.  The manifest joins
     phrase and cohort ids with ',' and keys each cohort list
-    ``cohort.<phrase>=``, and phrase ids name the tensor files, so an id
-    that holds one of these separators is a TensorFormatError before any
-    file is written."""
+    ``cohort.<phrase>=``, so an id that holds one of these separators is a
+    TensorFormatError before any file is written."""
     for phrase, b in backends.items():
-        for kind, ids, separators in (("phrase", (phrase,), ",=/"),
+        for kind, ids, separators in (("phrase", (phrase,), ",="),
                                       ("cohort utterance", b.cohort_ids, ",")):
             for i in ids:
                 for sep in separators:

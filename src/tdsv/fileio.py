@@ -134,8 +134,14 @@ def write_tensor_dir(path: str | Path, kind: str, version: int,
     ``dtype``, plus a manifest.
 
     Tensor files land first and the manifest is written (atomically) last, so
-    a directory with a readable manifest is complete.
+    a directory with a readable manifest is complete.  A tensor name holding
+    '/' could not name its file, and is a TensorFormatError before anything
+    is written.
     """
+    for name in sorted(tensors):
+        if "/" in name:
+            raise TensorFormatError(
+                f"cannot write {kind} artifact: tensor name '{name}' contains '/'")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     index: dict[str, str] = {}

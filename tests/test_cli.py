@@ -394,12 +394,14 @@ class TestErrorTyping:
         return err
 
     @staticmethod
-    def _bad_embedding(run, utt, path, value):
-        """Copy of the run's embeddings with every component of ``utt``'s
-        row set to ``value``."""
+    def _bad_embedding(run, utt, path, value, every=False):
+        """Copy of the run's embeddings with the last component of ``utt``'s
+        row, or every component when ``every``, set to ``value``."""
         def row(ln):
             head, values = ln.rstrip("\n").rsplit("\t", 1)
-            return f"{head}\t{' '.join([value] * len(values.split()))}\n"
+            values = values.split()
+            n = len(values) if every else 1
+            return f"{head}\t{' '.join(values[:-n] + [value] * n)}\n"
 
         path.write_text("".join(
             row(ln) if ln.startswith(utt + "\t") else ln
@@ -480,7 +482,8 @@ class TestErrorTyping:
                                      f"model '{model}'", reuse),
             "background": (bg, f"background utterance '{bg}'", []),
             "test": (test, f"test utterance '{test}'", reuse)}[kind]
-        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "0")
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "0",
+                                 every=True)
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(corpus), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_dev.tsv"), *extra])

@@ -123,6 +123,15 @@ def test_tensor_dir_round_trip(tmp_path):
     assert np.array_equal(back["y.z"], tensors["y.z"])
 
 
+def test_tensor_dir_rejects_slash_in_name(tmp_path):
+    tensors = {"a.x": np.ones(2), "b/c.x": np.ones(2)}
+    with pytest.raises(TensorFormatError,
+                       match="tensor name 'b/c.x' contains '/'"):
+        fileio.write_tensor_dir(tmp_path / "art", "svbackend", 2, {}, tensors,
+                                np.float64)
+    assert not (tmp_path / "art").exists()
+
+
 def test_tensor_dir_float64_round_trip(tmp_path):
     tensors = {"w": np.array([1.0 / 3.0, -2.0 / 7.0])}
     fileio.write_tensor_dir(tmp_path / "art", "svfusion", 2, {}, tensors,
