@@ -6,8 +6,10 @@ extracts embeddings, scores the dev trial list with a freshly fitted
 WCCN/cosine/s-norm backend and the eval trial list with that same backend,
 and prints both operating summaries.  Every stage goes through the
 command-line entry points, so the artifacts under --workdir are exactly what
-the CLI documents.  It ends with the full sha256 of each output that
-tests/golden_desk.json pins, so two runs can be compared at a glance.
+the CLI documents, and each flag is checked by the rule of the stage that
+reads it before anything is written.  It ends with the full sha256 of each
+output that tests/golden_desk.json pins, so two runs can be compared at a
+glance.
 Acceptance criterion 4 runs the same sequence through ``run_desk`` and
 checks ``digests`` against that file; criterion 8 runs it twice on a smaller
 corpus and compares the two ``digests`` maps; the command-line tests build
@@ -23,7 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tdsv.cli import BLAS_THREAD_VARS, main as tdsv  # loads no numpy
+from tdsv.cli import (BLAS_THREAD_VARS, _int_at_least,  # loads no numpy
+                      main as tdsv)
 
 # The stages run in this process with the default --threads 1, and numpy
 # reads the BLAS thread cap only when it loads, so set it before it does.
@@ -32,6 +35,7 @@ for _var in BLAS_THREAD_VARS:
 
 from tdsv.config import PipelineConfig, save_config
 from tdsv.errors import ConfigError
+from tdsv.synth import SynthSpec
 
 # the run directory's files that digests() covers, besides the model/ tree
 DIGESTED_FILES = ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
@@ -118,6 +122,14 @@ def main():
     ap.add_argument("--epochs", type=int, default=30)
     args = ap.parse_args()
     try:
+        for flag, seed in (("--corpus-seed", args.corpus_seed),
+                           ("--train-seed", args.train_seed)):
+            try:
+                _int_at_least(0)(str(seed))  # the rule of tdsv's --seed
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{flag} {exc}") from None
+        SynthSpec(num_speakers=args.speakers,
+                  utterances_per_speaker=args.utterances)
         config = PipelineConfig(epochs=args.epochs)
     except ConfigError as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")

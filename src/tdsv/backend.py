@@ -239,7 +239,9 @@ def _embedding(records: dict, utt: str, kind: str, phrase: str | None = None,
     Each failure names the utterance, and ``model`` when one is given."""
     rec = records.get(utt)
     if rec is not None:
-        square = rec.vector.dot(rec.vector)
+        # an overflowing norm is named below, so numpy need not warn of it
+        with np.errstate(over="ignore"):
+            square = rec.vector.dot(rec.vector)
         if (phrase is None or rec.phrase_id == phrase) and 0.0 < square < math.inf:
             return rec
     name = f"{kind} utterance '{utt}'" + (

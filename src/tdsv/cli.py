@@ -23,6 +23,10 @@ import sys
 import traceback
 from pathlib import Path
 
+from .errors import (ConfigError, DegenerateError, InsufficientDataError,
+                     NumericalError, TdsvError, TooShortError,
+                     TrialFormatError)
+
 
 def _int_at_least(minimum: int):
     """An argparse type for ints >= ``minimum``: numpy's generators reject a
@@ -126,7 +130,6 @@ def _load_pipeline_config(args):
 
 
 def _fixed_spectrogram(path, width):
-    from .errors import TooShortError
     from .features import compute_spectrogram, fit_length, read_wav
 
     try:
@@ -159,8 +162,6 @@ def cmd_train(args) -> int:
     entries = [e for e in read_corpus(corpus_dir / "corpus.tsv")
                if e.split == "bg"]
     if not entries:
-        from .errors import InsufficientDataError
-
         raise InsufficientDataError("corpus has no background utterances")
     speakers = sorted({e.speaker_id for e in entries})
     label_of = {s: i for i, s in enumerate(speakers)}
@@ -240,8 +241,6 @@ def cmd_eval(args) -> int:
     table, scores = read_scores(args.scores)
     keep, is_target = labeled_targets(table.labels)
     if not keep.any():
-        from .errors import DegenerateError
-
         raise DegenerateError(f"no labeled trials in {args.scores}")
     trials = ScoredTrials(scores[keep], is_target)
     det = compute_det(trials)
@@ -261,7 +260,6 @@ def _aligned_scores(paths):
     non-finite score is a NumericalError naming its file and trial."""
     import numpy as np
 
-    from .errors import NumericalError, TrialFormatError
     from .trials import read_scores
 
     baseline, scores = read_scores(paths[0])
@@ -289,8 +287,6 @@ def cmd_fuse(args) -> int:
 
     cfg = _load_pipeline_config(args)
     if len(args.dev) != len(args.inputs):
-        from .errors import ConfigError
-
         raise ConfigError("--dev and --inputs need one file per system")
     dev_table, dev_scores = _aligned_scores(args.dev)
     in_table, in_scores = _aligned_scores(args.inputs)
@@ -315,7 +311,6 @@ def cmd_project(args) -> int:
     import numpy as np
 
     from .backend import pca_project
-    from .errors import NumericalError
     from .fileio import atomic_write_text
     from .trials import read_embeddings
 
@@ -361,7 +356,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
     for var in BLAS_THREAD_VARS:
         os.environ[var] = threads
-    from .errors import TdsvError
 
     try:
         return _COMMANDS[args.command](args)

@@ -80,21 +80,11 @@ def _eer_from_points(p_miss, p_fa) -> float:
     return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
-def compute_eer(trials: ScoredTrials) -> float:
-    det = compute_det(trials)
-    return _eer_from_points(det.p_miss, det.p_fa)
-
-
 def _min_dcf(det: DetCurve, p_tar: float, c_miss: float, c_fa: float) -> float:
     if not 0.0 < p_tar < 1.0:
         raise DegenerateError(f"p_tar must lie in (0, 1), got {p_tar}")
     costs = c_miss * p_tar * det.p_miss + c_fa * (1.0 - p_tar) * det.p_fa
     return float(costs.min() / min(c_miss * p_tar, c_fa * (1.0 - p_tar)))
-
-
-def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
-                    c_miss: float = 1.0, c_fa: float = 1.0) -> float:
-    return _min_dcf(compute_det(trials), p_tar, c_miss, c_fa)
 
 
 def _reprs_by_value(values: np.ndarray, fn=None) -> list[str]:

@@ -6,10 +6,8 @@ ceil(input / stride), with the extra padding cell (odd totals) going to the
 bottom/right edge.  Each layer caches what its backward pass needs during
 forward.  The trainable layers (Conv2D, Dense, BatchNorm) share one
 parameter protocol: ``params`` and ``grads`` by name, gradients accumulating
-until ``zero_grad``.
-
-Set ``nn.CHECK_FINITE = True`` to validate every op output (slow; meant for
-debugging and tests).
+until ``zero_grad``.  Layers do not check their outputs for non-finite
+values; ``Adam.step`` rejects a non-finite gradient by parameter name.
 """
 
 from __future__ import annotations
@@ -19,20 +17,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericalError, UninitializedStatsError
 
-CHECK_FINITE = False
-
 
 def _pair(v) -> tuple[int, int]:
     if isinstance(v, (tuple, list)):
         a, b = v
         return int(a), int(b)
     return int(v), int(v)
-
-
-def _check(name: str, arr: np.ndarray) -> np.ndarray:
-    if CHECK_FINITE and not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values in output of {name}")
-    return arr
 
 
 def same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -136,7 +126,7 @@ class Conv2D(_Trainable):
         out = cols @ self._weight_matrix()
         out += self.bias
         self._cache = (xpad, (n, h, w), (pt, pl), (out_h, out_w))
-        return _check("conv2d", out.reshape(n, out_h, out_w, self.out_channels))
+        return out.reshape(n, out_h, out_w, self.out_channels)
 
     def _param_backward(self, grad_out):
         """Accumulate the bias and weight gradients; return grad_out as
@@ -225,7 +215,7 @@ class BatchNorm(_Trainable):
         self._cache = (xhat, inv_std, count, train)
         out = xhat * self.gamma
         out += self.beta
-        return _check("batchnorm", out)
+        return out
 
     def backward(self, grad_out):
         xhat, inv_std, m, train = self._cache
@@ -257,7 +247,7 @@ class ReLU:
 
     def forward(self, x, train=False):
         self._mask = x > 0
-        return _check("relu", np.maximum(x, 0))
+        return np.maximum(x, 0)
 
     def backward(self, grad_out):
         return grad_out * self._mask
@@ -292,7 +282,7 @@ class MaxPool:
             # indices only grow along the scan, so a max records the rise
             np.maximum(argmax, rises.view(np.uint8) * argmax.dtype.type(k), out=argmax)
         self._cache = (argmax, xpad.shape, (h, w), (pt, pl), (out_h, out_w))
-        return _check("maxpool", out)
+        return out
 
     def backward(self, grad_out):
         argmax, pad_shape, (h, w), (pt, pl), (out_h, out_w) = self._cache
@@ -312,7 +302,7 @@ class GlobalAvgPool:
 
     def forward(self, x, train=False):
         self._shape = x.shape
-        return _check("global_avgpool", x.mean(axis=(1, 2)))
+        return x.mean(axis=(1, 2))
 
     def backward(self, grad_out):
         n, h, w, c = self._shape
@@ -336,7 +326,7 @@ class Dense(_Trainable):
             raise DimensionError(
                 f"dense expects [N,{self.weight.shape[0]}], got {x.shape}")
         self._x = x
-        return _check("dense", x @ self.weight + self.bias)
+        return x @ self.weight + self.bias
 
     def backward(self, grad_out):
         self.grad_weight += self._x.T @ grad_out

@@ -5,8 +5,8 @@ labels.  Epochs, batch size and learning rate come from the pipeline config.
 Shuffling is driven by a dedicated seeded generator, so a (net seed, train
 seed) pair fully determines the run.  A checkpoint directory is written
 after every epoch; a non-finite loss aborts with a pointer to the last good
-one.  Each finished epoch prints one progress line to stderr and, when a
-log path is given, appends its row to the training log.
+one.  Each finished epoch prints one progress line to stderr and appends its
+row to the training log.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ class EpochStats:
 
 
 def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
-          config: PipelineConfig, seed: int, checkpoint_dir=None,
-          log_path=None) -> list[EpochStats]:
+          config: PipelineConfig, seed: int, checkpoint_dir,
+          log_path) -> list[EpochStats]:
     """Run the full loop and return per-epoch mean loss and accuracy.
 
-    With ``log_path``, the training log is started before the first epoch
-    and gains each epoch's row once that epoch's checkpoint is written, so a
-    crash leaves the rows of the finished epochs.
+    Each epoch's checkpoint goes to ``checkpoint_dir/epoch_<NNN>``.  The
+    training log at ``log_path`` is started before the first epoch and gains
+    each epoch's row once that epoch's checkpoint is written, so a crash
+    leaves the rows of the finished epochs.
     """
     labels = np.asarray(labels)
     if inputs.ndim != 4 or inputs.shape[0] != labels.shape[0]:
@@ -55,8 +56,7 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
     adam = Adam(net.named_parameters(), lr=config.learning_rate)
     history: list[EpochStats] = []
     last_good: Path | None = None
-    if log_path is not None:
-        write_training_log(log_path, [])
+    write_training_log(log_path, [])
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
@@ -77,13 +77,10 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
             correct += int((logits.argmax(axis=1) == labels[idx]).sum())
         stats = EpochStats(epoch, total_loss / n, correct / n)
         history.append(stats)
-        if checkpoint_dir is not None:
-            path = Path(checkpoint_dir) / f"epoch_{epoch:03d}"
-            save_network(net, path)
-            last_good = path
-        if log_path is not None:
-            with open(log_path, "a", newline="") as fh:
-                csv.writer(fh).writerow(_log_row(stats))
+        last_good = Path(checkpoint_dir) / f"epoch_{epoch:03d}"
+        save_network(net, last_good)
+        with open(log_path, "a", newline="") as fh:
+            csv.writer(fh).writerow(_log_row(stats))
         seconds = time.perf_counter() - started
         print(f"epoch {epoch}/{config.epochs}: loss={stats.loss:.4f} "
               f"accuracy={stats.accuracy:.4f} {seconds:.1f}s "

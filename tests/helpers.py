@@ -14,7 +14,8 @@ from scipy.special import ndtri
 from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError, TableNumberError, TrialFormatError
 from tdsv.fileio import read_utf8
-from tdsv.metrics import DetCurve, ScoredTrials, compute_eer
+from tdsv.metrics import (DetCurve, ScoredTrials, _eer_from_points, _min_dcf,
+                          compute_det)
 from tdsv.trials import LABELS, CorpusEntry, EmbeddingRecord, TrialTable
 
 
@@ -284,6 +285,18 @@ def gradient_ascent_fusion(scores, labels, *, tol=1e-8, max_iter=200_000,
         else:
             raise RuntimeError("fusion line search stalled")
     raise RuntimeError(f"fusion did not converge in {max_iter} iterations")
+
+
+# The library's EER and minDCF as one call each, built from the same parts
+# that ``summary_lines`` uses.  These are the routes under test, not oracles.
+def compute_eer(trials: ScoredTrials) -> float:
+    det = compute_det(trials)
+    return _eer_from_points(det.p_miss, det.p_fa)
+
+
+def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
+                    c_miss: float = 1.0, c_fa: float = 1.0) -> float:
+    return _min_dcf(compute_det(trials), p_tar, c_miss, c_fa)
 
 
 def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,

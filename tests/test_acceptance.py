@@ -22,16 +22,16 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_det, brute_force_eer, brute_force_min_dcf,
-                     eer_permutation_pvalue, golden_environment,
-                     numeric_gradient, read_scores_by_row, relative_error)
+                     compute_eer, compute_min_dcf, eer_permutation_pvalue,
+                     golden_environment, numeric_gradient, read_scores_by_row,
+                     relative_error)
 from tdsv import nn
 from tdsv.backend import (apply_fusion, apply_snorm, cosine_score, fit_fusion,
                           wccn_from_covariance)
 from tdsv.config import PipelineConfig
 from tdsv.features import (FFT_LEN, FRAME_STEP, WINDOW_LEN,
                            compute_spectrogram, fit_length, frame_count)
-from tdsv.metrics import (ScoredTrials, compute_det, compute_eer,
-                          compute_min_dcf)
+from tdsv.metrics import ScoredTrials, compute_det
 from tdsv.resnet import Network, NetworkConfig, build_network, count_parameters
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cohort_scores_oracle, cohort_stats_oracle,
+from helpers import (cohort_scores_oracle, cohort_stats_oracle, compute_eer,
                      gradient_ascent_fusion, pca_variance_oracle,
                      relative_error, trial_table)
 from tdsv import backend as backend_module
@@ -28,7 +28,7 @@ from tdsv.errors import (DegenerateError, DimensionError,
                          NumericalError, RankDeficiencyError, TdsvError,
                          TensorFormatError, UnknownIdError)
 from tdsv.fileio import write_tensor
-from tdsv.metrics import ScoredTrials, compute_eer
+from tdsv.metrics import ScoredTrials
 from tdsv.trials import EmbeddingRecord
 
 

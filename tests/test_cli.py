@@ -23,8 +23,6 @@ from tdsv import cli
 from tdsv.cli import main
 from tdsv.config import HEADER, PipelineConfig
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -491,6 +489,26 @@ class TestErrorTyping:
         err = self._one_error(capsys)
         assert f"{name} has a zero-norm embedding" in err
         assert not (tmp_path / "out" / "scores.tsv").exists()
+
+    def test_overflowing_embedding_is_one_stderr_line(self, pipeline, tmp_path):
+        # a fresh process, so that any numpy warning reaches stderr as a
+        # user would see it
+        corpus, run = pipeline
+        utt = (corpus / "trials_dev.tsv").read_text().split("\t")[1]
+        emb = self._bad_embedding(run, utt, tmp_path / "embeddings.tsv", "1e200",
+                                  every=True)
+        src = Path(cli.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "tdsv.cli",
+             "--output-dir", str(tmp_path / "out"), "score",
+             "--corpus", str(corpus), "--embeddings", str(emb),
+             "--trials", str(corpus / "trials_dev.tsv"),
+             "--backend", str(run / "dev" / "backend")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 2
+        assert out.stderr == (f"error: test utterance '{utt}' has an embedding "
+                              "whose norm overflows\n")
 
     def test_backend_id_with_separator_rejected_before_writing(
             self, pipeline, tmp_path, capsys):

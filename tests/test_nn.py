@@ -368,14 +368,3 @@ class TestAdam:
         opt = nn.Adam({"p": p}, lr=0.1)
         opt.step({"p": np.ones(2)})
         assert p.dtype == np.float32
-
-
-class TestCheckFinite:
-    def test_flag_catches_nan(self):
-        relu = nn.ReLU()
-        nn.CHECK_FINITE = True
-        try:
-            with pytest.raises(NumericalError, match="relu"):
-                relu.forward(np.array([1.0, np.nan]))
-        finally:
-            nn.CHECK_FINITE = False
