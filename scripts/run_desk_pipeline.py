@@ -8,8 +8,8 @@ and prints both operating summaries.  Every stage goes through the
 command-line entry points, so the artifacts under --workdir are exactly what
 the CLI documents, and each flag is checked by the rule of the stage that
 reads it before anything is written.  It ends with the full sha256 of each
-output that tests/golden_desk.json pins, so two runs can be compared at a
-glance.
+of the 12 outputs that tests/golden_desk.json pins (ten run files, the
+model/ tree and the corpus/ tree), so two runs can be compared at a glance.
 Acceptance criterion 4 runs the same sequence through ``run_desk`` and
 checks ``digests`` against that file; criterion 8 runs it twice on a smaller
 corpus and compares the two ``digests`` maps; the command-line tests build
@@ -37,7 +37,8 @@ from tdsv.config import PipelineConfig, save_config
 from tdsv.errors import ConfigError
 from tdsv.synth import SynthSpec
 
-# the run directory's files that digests() covers, besides the model/ tree
+# the run directory's files that digests() covers, besides the model/ and
+# corpus/ trees
 DIGESTED_FILES = ("training_log.csv", "embeddings.tsv", "dev/scores.tsv",
                   "eval/scores.tsv", "dev/summary.txt", "eval/summary.txt",
                   "dev/det.csv", "eval/det.csv", "dev/det_probit.csv",
@@ -91,22 +92,27 @@ def run_desk(workdir, *, corpus_seed=7, train_seed=0, speakers=10,
     return seconds
 
 
-def digests(run_dir) -> dict[str, str]:
-    """Full sha256 of each of DIGESTED_FILES under ``run_dir``, and of its
-    model/ tree: each relative path in sorted order, its byte count, then
-    its bytes."""
-    run_dir = Path(run_dir)
+def digests(workdir) -> dict[str, str]:
+    """Full sha256 of each of DIGESTED_FILES under ``workdir/run``, of its
+    model/ tree and of the ``workdir/corpus`` tree.  A tree is hashed as
+    each relative path in sorted order, its byte count, then its bytes."""
+    work = Path(workdir)
+    run_dir = work / "run"
     out = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
            for name in DIGESTED_FILES}
-    model = run_dir / "model"
+    out["model/"] = _tree_digest(run_dir / "model")
+    out["corpus/"] = _tree_digest(work / "corpus")
+    return out
+
+
+def _tree_digest(root) -> str:
     tree = hashlib.sha256()
-    for rel in sorted(p.relative_to(model).as_posix()
-                      for p in model.rglob("*") if p.is_file()):
-        data = (model / rel).read_bytes()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*") if p.is_file()):
+        data = (root / rel).read_bytes()
         tree.update(f"{rel}\n{len(data)}\n".encode())
         tree.update(data)
-    out["model/"] = tree.hexdigest()
-    return out
+    return tree.hexdigest()
 
 
 def main():
@@ -143,7 +149,7 @@ def main():
         print((run_dir / split / "summary.txt").read_text(), end="")
 
     print("\ndigests (sha256):")
-    for name, digest in digests(run_dir).items():
+    for name, digest in digests(args.workdir).items():
         print(f"  {digest}  {name}")
 
 

@@ -5,6 +5,10 @@ speakers plus three formant resonances drawn from wide ranges.  Each phrase
 is a fixed sequence of segments that rescale the formant centers and split
 the utterance duration, giving every (speaker, phrase) pair a distinct
 spectro-temporal energy pattern that a small CNN can learn in minutes.
+The harmonic sum is factored over blocks of BLOCK samples: writing sample n
+as b*BLOCK + o turns each segment into two small products of per-block and
+per-offset sin/cos tables, so sin and cos are taken on [blocks + BLOCK,
+harmonics] entries instead of [samples, harmonics].
 
 The generator writes a self-contained directory:
 
@@ -21,19 +25,22 @@ a pure function of the SynthSpec, so equal specs give byte-identical trees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .features import SAMPLE_RATE, write_wav
+from .features import SAMPLE_RATE, WINDOW_LEN, write_wav
 from .trials import (CorpusEntry, TrialTable, write_corpus, write_enroll_map,
                      write_trials)
 
 F0_RANGE = (95.0, 270.0)
 FORMANT_RANGES = ((300.0, 900.0), (1000.0, 2400.0), (2600.0, 3400.0))
 ENROLL_PER_MODEL = 3
+STRETCH = (0.95, 1.1)  # range of a take's duration over base_duration
+BLOCK = 128  # samples per block of the factored harmonic sum
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,12 @@ class SynthSpec:
                 f"{ENROLL_PER_MODEL + 1} per phrase")
         if not 0.0 <= self.noise_level < 1.0:
             raise ConfigError("noise_level must lie in [0, 1)")
+        if not (math.isfinite(self.base_duration) and round(
+                self.base_duration * STRETCH[0] * SAMPLE_RATE) >= WINDOW_LEN):
+            raise ConfigError(
+                f"base_duration {self.base_duration} s must be finite and "
+                f"give its shortest take ({STRETCH[0]}x) at least "
+                f"{WINDOW_LEN} samples")
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ def make_phrase(spec: SynthSpec, index: int) -> PhraseTemplate:
 def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
                          spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Additive harmonic synthesis with per-segment formant envelopes."""
-    duration = spec.base_duration * rng.uniform(0.95, 1.1)
+    duration = spec.base_duration * rng.uniform(*STRETCH)
     total = int(round(duration * SAMPLE_RATE))
     f0 = voice.f0 * rng.uniform(0.97, 1.03)
     formant_jitter = rng.uniform(0.98, 1.02, size=len(voice.formants))
@@ -120,11 +133,21 @@ def synthesize_utterance(voice: Voice, phrase: PhraseTemplate,
     weights = np.asarray(phrase.duration_weights)
     ends = np.floor(np.cumsum(weights) / weights.sum() * total).astype(int)
     ends[-1] = total
-    lengths = np.diff(np.concatenate(([0], ends)))
-    envelope = np.repeat(gains, lengths, axis=0)  # [total, K]
 
-    t = np.arange(total) / SAMPLE_RATE
-    wave = (envelope * np.sin(2.0 * np.pi * freqs * t[:, None] + phases)).sum(axis=1)
+    # sample n = b*BLOCK + o: sin(w n + phi) = sin(w bB + phi) cos(w o)
+    # + cos(w bB + phi) sin(w o), so a segment is two [blocks, K] @ [K, BLOCK]
+    omega = 2.0 * np.pi * freqs / SAMPLE_RATE
+    heads = omega * (BLOCK * np.arange(-(-total // BLOCK)))[:, None] + phases
+    sin_head, cos_head = np.sin(heads), np.cos(heads)
+    offsets = omega * np.arange(BLOCK)[:, None]
+    cos_off, sin_off = np.cos(offsets).T, np.sin(offsets).T
+    wave = np.empty(total)
+    start = 0
+    for g, end in zip(gains, ends):
+        b0, b1 = start // BLOCK, -(-end // BLOCK)
+        blocks = (sin_head[b0:b1] * g) @ cos_off + (cos_head[b0:b1] * g) @ sin_off
+        wave[start:end] = blocks.ravel()[start - b0 * BLOCK:end - b0 * BLOCK]
+        start = end
     peak = np.abs(wave).max()
     if peak > 0:
         wave = 0.7 * wave / peak

@@ -13,6 +13,7 @@ from scipy.special import ndtri
 
 from tdsv.backend import cosine_score
 from tdsv.errors import NumericalError, TableNumberError, TrialFormatError
+from tdsv.features import SAMPLE_RATE
 from tdsv.fileio import read_utf8
 from tdsv.metrics import (DetCurve, ScoredTrials, _eer_from_points, _min_dcf,
                           compute_det)
@@ -84,6 +85,43 @@ def naive_dft_magnitudes(frame, n):
         im = sum(padded[t] * np.sin(-2.0 * np.pi * k * t / n) for t in range(n))
         mags.append(np.hypot(re, im))
     return np.array(mags)
+
+
+def direct_synthesize_utterance(voice, phrase, spec, rng):
+    """The synthesizer's harmonic sum taken directly: sin over the whole
+    [samples, harmonics] grid times a per-sample gain envelope.  Draws from
+    ``rng`` in the same order as ``synth.synthesize_utterance``."""
+    duration = spec.base_duration * rng.uniform(0.95, 1.1)
+    total = int(round(duration * SAMPLE_RATE))
+    f0 = voice.f0 * rng.uniform(0.97, 1.03)
+    formant_jitter = rng.uniform(0.98, 1.02, size=len(voice.formants))
+
+    num_harmonics = int((SAMPLE_RATE / 2 - 200.0) // f0)
+    freqs = f0 * np.arange(1, num_harmonics + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
+
+    # per-segment harmonic gains from Gaussian formant resonances
+    gains = np.empty((len(phrase.duration_weights), num_harmonics))
+    for si, scales in enumerate(phrase.formant_scales):
+        g = np.full(num_harmonics, 0.01)
+        for (center, bw, amp, scale, jit) in zip(
+                voice.formants, voice.bandwidths, voice.amplitudes,
+                scales, formant_jitter):
+            g += amp * np.exp(-0.5 * ((freqs - center * scale * jit) / bw) ** 2)
+        gains[si] = g
+
+    weights = np.asarray(phrase.duration_weights)
+    ends = np.floor(np.cumsum(weights) / weights.sum() * total).astype(int)
+    ends[-1] = total
+    lengths = np.diff(np.concatenate(([0], ends)))
+    envelope = np.repeat(gains, lengths, axis=0)  # [total, K]
+
+    t = np.arange(total) / SAMPLE_RATE
+    wave = (envelope * np.sin(2.0 * np.pi * freqs * t[:, None] + phases)).sum(axis=1)
+    peak = np.abs(wave).max()
+    if peak > 0:
+        wave = 0.7 * wave / peak
+    return wave + rng.normal(0.0, spec.noise_level, total)
 
 
 def brute_force_det(trials: ScoredTrials) -> DetCurve:

@@ -254,7 +254,7 @@ def test_criterion_4_desk_pipeline(capsys, tmp_path):
     if differs:
         golden_ok, golden_note = True, f"golden not checked: {differs[0]} differs"
     else:
-        got = digests(run)
+        got = digests(tmp_path)
         moved = [name for name in sorted(got.keys() | golden["digests"].keys())
                  if got.get(name) != golden["digests"].get(name)]
         golden_ok = not moved
@@ -368,7 +368,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
     for tag in ("a", "b"):
         run_desk(tmp_path / tag, corpus_seed=3, train_seed=1, speakers=6,
                  utterances=8, config=PipelineConfig(epochs=4, batch_size=8))
-        runs.append(digests(tmp_path / tag / "run"))
+        runs.append(digests(tmp_path / tag))
 
     identical = [name for name in runs[0] if runs[0][name] == runs[1][name]]
     ok = _verdict(capsys, len(identical) == len(runs[0]),

@@ -1,13 +1,18 @@
 """Synthetic corpus generator: determinism, protocol structure, audio sanity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from helpers import direct_synthesize_utterance
 from tdsv.errors import ConfigError
-from tdsv.features import read_wav
-from tdsv.synth import (ENROLL_PER_MODEL, SynthSpec, build_protocol,
-                        generate_corpus, make_phrase, make_voice, phrase_id,
-                        speaker_id, split_speakers, synthesize_utterance)
+from tdsv.features import (SAMPLE_RATE, WINDOW_LEN, compute_spectrogram,
+                           read_wav, write_wav)
+from tdsv.synth import (BLOCK, ENROLL_PER_MODEL, PhraseTemplate, SynthSpec,
+                        build_protocol, generate_corpus, make_phrase,
+                        make_voice, phrase_id, speaker_id, split_speakers,
+                        synthesize_utterance)
 from tdsv.trials import read_corpus, read_enroll_map, read_trials
 
 SMALL = SynthSpec(num_speakers=6, num_phrases=2, utterances_per_speaker=8,
@@ -26,6 +31,23 @@ class TestSpecValidation:
     def test_noise_bounds(self):
         with pytest.raises(ConfigError, match="noise"):
             SynthSpec(noise_level=1.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"),
+                                          float("inf"), 0.001])
+    def test_base_duration_rejected(self, duration):
+        with pytest.raises(ConfigError, match="^base_duration [^\n]*$"):
+            SynthSpec(base_duration=duration)
+
+    def test_shortest_take_fills_one_analysis_window(self):
+        # the 0.95 stretch of the shortest accepted duration is one window
+        shortest = WINDOW_LEN / (0.95 * SAMPLE_RATE)
+        with pytest.raises(ConfigError, match="base_duration"):
+            SynthSpec(base_duration=(WINDOW_LEN - 1) / (0.95 * SAMPLE_RATE))
+        spec = SynthSpec(base_duration=shortest)
+        wave = synthesize_utterance(make_voice(spec, 0), make_phrase(spec, 0),
+                                    spec, np.random.default_rng(0))
+        assert wave.size >= WINDOW_LEN
+        assert compute_spectrogram(wave).bins.shape[1] >= 1
 
 
 class TestVoicesAndPhrases:
@@ -58,6 +80,60 @@ class TestVoicesAndPhrases:
                                  np.random.default_rng(1))
         n = min(a.size, b.size)
         assert not np.allclose(a[:n], b[:n], atol=0.05)
+
+
+_LONG = SynthSpec(num_speakers=6, num_phrases=1, utterances_per_speaker=4,
+                  base_duration=3.4, seed=3)
+# synthesize_utterance reads only these two fields, so a namespace can carry
+# a take shorter than one block, which SynthSpec rejects
+_TINY = SimpleNamespace(base_duration=0.005, noise_level=0.03)
+ORACLE_CASES = {  # (voice, phrase, spec, rng seed)
+    "small": (make_voice(SMALL, 0), make_phrase(SMALL, 0), SMALL, 0),
+    "embed-full-shaped": (make_voice(_LONG, 4), make_phrase(_LONG, 0), _LONG, 3),
+    "shorter-than-a-block": (make_voice(SMALL, 1), make_phrase(SMALL, 0),
+                             _TINY, 1),
+    # seed 420 draws a 5120-sample take of SMALL, so equal segment weights
+    # put every boundary on a block edge
+    "boundaries-on-block-edges": (
+        make_voice(SMALL, 2),
+        PhraseTemplate((1.0,) * 4, make_phrase(SMALL, 0).formant_scales),
+        SMALL, 420),
+}
+
+
+def _segment_ends(phrase, spec, seed):
+    duration = spec.base_duration * np.random.default_rng(seed).uniform(0.95, 1.1)
+    total = int(round(duration * SAMPLE_RATE))
+    weights = np.asarray(phrase.duration_weights)
+    ends = np.floor(np.cumsum(weights) / weights.sum() * total).astype(int)
+    ends[-1] = total
+    return ends
+
+
+class TestFactoredSum:
+    """synthesize_utterance against the direct [samples, harmonics] sum."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_direct_sum(self, case, tmp_path):
+        voice, phrase, spec, seed = ORACLE_CASES[case]
+        fast = synthesize_utterance(voice, phrase, spec,
+                                    np.random.default_rng(seed))
+        slow = direct_synthesize_utterance(voice, phrase, spec,
+                                           np.random.default_rng(seed))
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() <= 1e-10
+        write_wav(tmp_path / "fast.wav", fast)
+        write_wav(tmp_path / "slow.wav", slow)
+        assert ((tmp_path / "fast.wav").read_bytes()
+                == (tmp_path / "slow.wav").read_bytes())
+
+    def test_cases_cover_the_block_layouts(self):
+        ends = {name: _segment_ends(phrase, spec, seed)
+                for name, (_, phrase, spec, seed) in ORACLE_CASES.items()}
+        assert ends["shorter-than-a-block"][-1] < BLOCK
+        assert ends["embed-full-shaped"][-1] > 3 * SAMPLE_RATE
+        assert any(e % BLOCK for e in ends["small"][:-1])
+        assert all(e % BLOCK == 0 for e in ends["boundaries-on-block-edges"])
 
 
 class TestSplits:
