@@ -22,14 +22,6 @@ FUSION_TOL = 1e-8  # gradient max-norm at which the fusion fit has converged
 
 
 @dataclass(frozen=True)
-class WccnTransform:
-    """x -> matrix.T @ x whitens the regularized within-class covariance."""
-
-    matrix: np.ndarray      # lower-triangular Cholesky factor B
-    covariance: np.ndarray  # regularized within-class covariance W-bar
-
-
-@dataclass(frozen=True)
 class FusionModel:
     weights: np.ndarray
     bias: float
@@ -42,21 +34,21 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def wccn_from_covariance(within: np.ndarray) -> WccnTransform:
-    """Regularize W to W + I/2, invert, and take the Cholesky factor B, so
-    that B.T @ Wbar @ B = I."""
+def wccn_from_covariance(within: np.ndarray) -> np.ndarray:
+    """The WCCN matrix B: regularize W to Wbar = W + I/2, invert, and take
+    the lower-triangular Cholesky factor, so that B.T @ Wbar @ B = I and
+    x -> B.T @ x whitens Wbar."""
     within = np.asarray(within, dtype=np.float64)
     d = within.shape[0]
     if within.shape != (d, d):
         raise DimensionError(f"covariance must be square, got {within.shape}")
-    wbar = within + 0.5 * np.eye(d)
-    b = np.linalg.cholesky(np.linalg.inv(wbar))
-    return WccnTransform(b, wbar)
+    return np.linalg.cholesky(np.linalg.inv(within + 0.5 * np.eye(d)))
 
 
-def fit_wccn(by_speaker: dict[str, np.ndarray], phrase_id: str = "") -> WccnTransform:
-    """Within-class covariance averaged unweighted over speakers (biased,
-    1/N per speaker), on length-normalized embeddings."""
+def fit_wccn(by_speaker: dict[str, np.ndarray], phrase_id: str = "") -> np.ndarray:
+    """The WCCN matrix B of the within-class covariance averaged unweighted
+    over speakers (biased, 1/N per speaker), on length-normalized
+    embeddings."""
     if len(by_speaker) < 2:
         raise InsufficientDataError(
             f"wccn for phrase '{phrase_id}' needs >= 2 speakers, "
@@ -74,16 +66,17 @@ def fit_wccn(by_speaker: dict[str, np.ndarray], phrase_id: str = "") -> WccnTran
     return wccn_from_covariance(accum / len(by_speaker))
 
 
-def transform(t: WccnTransform, e: np.ndarray) -> np.ndarray:
-    return np.asarray(e, dtype=np.float64) @ t.matrix
+def transform(b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``e`` (one vector or ``[n, d]`` rows) in the WCCN space of ``b``."""
+    return np.asarray(e, dtype=np.float64) @ b
 
 
 def cosine_score(e1: np.ndarray, e2: np.ndarray,
-                 t: WccnTransform | None = None) -> float:
-    """Cosine similarity of ``e1`` and ``e2`` in the WCCN space of ``t``;
-    with ``t=None`` both vectors are taken as already transformed."""
-    u = e1 if t is None else transform(t, e1)
-    v = e2 if t is None else transform(t, e2)
+                 b: np.ndarray | None = None) -> float:
+    """Cosine similarity of ``e1`` and ``e2`` in the WCCN space of matrix
+    ``b``; with ``b=None`` both vectors are taken as already transformed."""
+    u = e1 if b is None else transform(b, e1)
+    v = e2 if b is None else transform(b, e2)
     # what np.linalg.norm computes for a 1-D float64 vector, without its
     # per-call overhead
     nu = math.sqrt(u.dot(u))
@@ -93,28 +86,28 @@ def cosine_score(e1: np.ndarray, e2: np.ndarray,
     return float(u.dot(v)) / (nu * nv)
 
 
-def _unit_rows(t: WccnTransform, e: np.ndarray) -> np.ndarray:
+def _unit_rows(b: np.ndarray, e: np.ndarray) -> np.ndarray:
     """WCCN-transformed rows of ``e`` scaled to unit length."""
-    x = transform(t, e)
+    x = transform(b, e)
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     if not norms.all():
         raise DegenerateError("zero-norm embedding after WCCN transform")
     return x / norms[:, None]
 
 
-def cohort_scores(e: np.ndarray, cohort: np.ndarray, t: WccnTransform) -> np.ndarray:
-    """Cosine scores ``[n, n_cohort]`` of each row of the ``[n, d]``
-    segments ``e`` against every cohort row, as one product of
-    length-normalized matrices."""
+def cohort_scores(e: np.ndarray, cohort: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine scores ``[n, n_cohort]`` in the WCCN space of matrix ``b`` of
+    each row of the ``[n, d]`` segments ``e`` against every cohort row, as
+    one product of length-normalized matrices."""
     if cohort.ndim != 2 or cohort.shape[0] < 2:
         raise InsufficientDataError("cohort needs at least 2 utterances")
-    return _unit_rows(t, e) @ _unit_rows(t, cohort).T
+    return _unit_rows(b, e) @ _unit_rows(b, cohort).T
 
 
-def cohort_stats(e: np.ndarray, cohort: np.ndarray, t: WccnTransform):
+def cohort_stats(e: np.ndarray, cohort: np.ndarray, b: np.ndarray):
     """Mean and deviation ``[n]`` of each ``[n, d]`` segment's cohort
     scores."""
-    scores = cohort_scores(e, cohort, t)
+    scores = cohort_scores(e, cohort, b)
     mu = scores.mean(axis=1)
     sigma = scores.std(axis=1)
     if not sigma.all():
@@ -224,9 +217,9 @@ def pca_project(embeddings: np.ndarray, k: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhraseBackend:
-    """Per-phrase scoring artifacts: WCCN transform plus the s-norm cohort."""
+    """Per-phrase scoring artifacts: WCCN matrix plus the s-norm cohort."""
 
-    wccn: WccnTransform
+    wccn: np.ndarray    # [d, d] WCCN matrix B (wccn_from_covariance)
     cohort_ids: tuple[str, ...]
     cohort: np.ndarray  # [n_cohort, d] raw embeddings, rows follow cohort_ids
 
@@ -266,8 +259,12 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
     phrase ids.  WCCN is fitted on every background utterance of the phrase.
     The s-norm cohort is all of them when ``cohort_size`` is 0, else the
     first ``cohort_size`` taken round-robin across speakers, each speaker's
-    utterances in id order; cohort rows follow sorted ids.
+    utterances in id order; cohort rows follow sorted ids.  An empty
+    mapping is an InsufficientDataError: no backend could be saved.
     """
+    if not background_utts_by_phrase:
+        raise InsufficientDataError(
+            "no background utterances to fit a backend on")
     backends = {}
     for phrase in sorted(background_utts_by_phrase):
         by_speaker: dict[str, list[str]] = {}
@@ -339,13 +336,13 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
 
     # per side (models, tests): each vector in WCCN space and its s-norm
     # statistics.  A model or test utterance carries one phrase, so its id
-    # alone keys it.  One matvec per vector, as cosine_score(e1, e2, t)
+    # alone keys it.  One matvec per vector, as cosine_score(e1, e2, b)
     # does: a stacked product could round differently.
     moved: tuple[dict, dict] = ({}, {})
     stats: tuple[dict, dict] = ({}, {})
     for phrase, sides in needed.items():
         backend = backends[phrase]
-        width = backend.wccn.matrix.shape[0]
+        width = backend.wccn.shape[0]
         dim = next(iter(sides[0].values())).size
         if dim != width:
             raise DimensionError(
@@ -388,30 +385,28 @@ def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
     for phrase in sorted(backends):
         b = backends[phrase]
         fields[f"cohort.{phrase}"] = ",".join(b.cohort_ids)
-        tensors[f"{phrase}.wccn_matrix"] = b.wccn.matrix
-        tensors[f"{phrase}.wccn_covariance"] = b.wccn.covariance
+        tensors[f"{phrase}.wccn_matrix"] = b.wccn
         tensors[f"{phrase}.cohort"] = b.cohort
-    fileio.write_tensor_dir(path, "svbackend", 2, fields, tensors, np.float64)
+    fileio.write_tensor_dir(path, "svbackend", 3, fields, tensors, np.float64)
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
     """Rebuild saved backends; a missing or mis-shaped field or tensor is a
-    TensorFormatError."""
-    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 2)
+    TensorFormatError, and so is a manifest of another version than
+    ``svbackend 3`` (versions 1 and 2 must be refit)."""
+    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 3)
     backends = {}
     try:
         for phrase in fields["phrases"].split(","):
-            wccn = WccnTransform(tensors[f"{phrase}.wccn_matrix"],
-                                 tensors[f"{phrase}.wccn_covariance"])
+            wccn = tensors[f"{phrase}.wccn_matrix"]
             cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
             cohort = tensors[f"{phrase}.cohort"]
-            d = wccn.matrix.shape[0]
-            if (wccn.matrix.shape != (d, d) or wccn.covariance.shape != (d, d)
-                    or cohort.shape != (len(cohort_ids), d)):
+            d = wccn.shape[0]
+            if wccn.shape != (d, d) or cohort.shape != (len(cohort_ids), d):
                 raise TensorFormatError(
                     f"backend {path} phrase '{phrase}' has shapes "
-                    f"{wccn.matrix.shape}, {wccn.covariance.shape} and "
-                    f"{cohort.shape} for {len(cohort_ids)} cohort ids")
+                    f"{wccn.shape} and {cohort.shape} for "
+                    f"{len(cohort_ids)} cohort ids")
             backends[phrase] = PhraseBackend(wccn, cohort_ids, cohort)
     except KeyError as exc:
         raise TensorFormatError(

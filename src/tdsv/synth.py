@@ -225,30 +225,27 @@ def build_protocol(entries: list[CorpusEntry]
     test utterance.
     """
     by_model: dict[str, list[str]] = {}
+    first: dict[str, CorpusEntry] = {}  # each model's first take
     tests: dict[str, list[CorpusEntry]] = {"dev": [], "eval": []}
-    counts: dict[tuple[str, str], int] = {}
     for e in entries:
         if e.split == "bg":
             continue
-        key = (e.speaker_id, e.phrase_id)
-        take = counts.get(key, 0)
-        counts[key] = take + 1
-        if take < ENROLL_PER_MODEL:
-            by_model.setdefault(f"{e.speaker_id}-{e.phrase_id}", []).append(
-                e.utterance_id)
+        model = f"{e.speaker_id}-{e.phrase_id}"
+        takes = by_model.setdefault(model, [])
+        first.setdefault(model, e)
+        if len(takes) < ENROLL_PER_MODEL:
+            takes.append(e.utterance_id)
         else:
             tests[e.split].append(e)
 
-    model_split = {f"{e.speaker_id}-{e.phrase_id}": e.split
-                   for e in entries if e.split != "bg"}
     trial_files: dict[str, TrialTable] = {}
     for split in ("dev", "eval"):
-        pairs = [(model, e)
-                 for model in sorted(m for m, s in model_split.items() if s == split)
-                 for e in tests[split] if model.split("-")[1] == e.phrase_id]
+        pairs = [(model, e) for model, m in sorted(first.items())
+                 if m.split == split
+                 for e in tests[split] if e.phrase_id == m.phrase_id]
         trial_files[split] = TrialTable(
             [model for model, _ in pairs], [e.utterance_id for _, e in pairs],
             [e.phrase_id for _, e in pairs],
-            ["tgt" if model == f"{e.speaker_id}-{e.phrase_id}" else "non"
+            ["tgt" if e.speaker_id == first[model].speaker_id else "non"
              for model, e in pairs])
     return by_model, trial_files

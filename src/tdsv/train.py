@@ -56,7 +56,8 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
     adam = Adam(net.named_parameters(), lr=config.learning_rate)
     history: list[EpochStats] = []
     last_good: Path | None = None
-    write_training_log(log_path, [])
+    with open(log_path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["epoch", "loss", "accuracy"])
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
@@ -80,20 +81,10 @@ def train(net: Network, inputs: np.ndarray, labels: np.ndarray,
         last_good = Path(checkpoint_dir) / f"epoch_{epoch:03d}"
         save_network(net, last_good)
         with open(log_path, "a", newline="") as fh:
-            csv.writer(fh).writerow(_log_row(stats))
+            csv.writer(fh).writerow(
+                [epoch, f"{stats.loss:.6f}", f"{stats.accuracy:.6f}"])
         seconds = time.perf_counter() - started
         print(f"epoch {epoch}/{config.epochs}: loss={stats.loss:.4f} "
               f"accuracy={stats.accuracy:.4f} {seconds:.1f}s "
               f"{n / seconds:.1f} examples/s", file=sys.stderr, flush=True)
     return history
-
-
-def _log_row(s: EpochStats) -> list:
-    return [s.epoch, f"{s.loss:.6f}", f"{s.accuracy:.6f}"]
-
-
-def write_training_log(path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "accuracy"])
-        writer.writerows(_log_row(s) for s in history)

@@ -186,13 +186,13 @@ def probit_csv_lines_oracle(det: DetCurve) -> list[str]:
     return lines
 
 
-def cohort_scores_oracle(e, cohort, t):
+def cohort_scores_oracle(e, cohort, b):
     """One segment's s-norm cohort scores, one scalar cosine_score per row."""
-    return np.array([cosine_score(e, row, t) for row in cohort])
+    return np.array([cosine_score(e, row, b) for row in cohort])
 
 
-def cohort_stats_oracle(e, cohort, t):
-    scores = cohort_scores_oracle(e, cohort, t)
+def cohort_stats_oracle(e, cohort, b):
+    scores = cohort_scores_oracle(e, cohort, b)
     return float(scores.mean()), float(scores.std())
 
 
@@ -351,6 +351,15 @@ def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,
         if compute_eer(permuted) <= observed:
             hits += 1
     return (1 + hits) / (1 + num_permutations)
+
+
+def write_training_log(path, history) -> None:
+    """The whole training log of ``history`` (EpochStats) written at once:
+    a header, then one row per epoch with six-decimal loss and accuracy,
+    each line ending in CRLF as Python's csv writer ends it."""
+    lines = ["epoch,loss,accuracy"] + [
+        f"{s.epoch},{s.loss:.6f},{s.accuracy:.6f}" for s in history]
+    Path(path).write_bytes("".join(ln + "\r\n" for ln in lines).encode())
 
 
 # Table readers that build and check one row at a time, reporting the first

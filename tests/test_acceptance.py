@@ -299,10 +299,13 @@ def test_criterion_6_backend_algebra(capsys):
     for _ in range(25):
         d = int(rng.integers(2, 25))
         a = rng.normal(size=(d + 4, d))
-        t = wccn_from_covariance(a.T @ a / (d + 4))
+        within = a.T @ a / (d + 4)
+        b = wccn_from_covariance(within)
+        # Wbar = W + I/2 from the input; B B.T = Wbar^-1, so the smallest
+        # eigenvalue of Wbar is the reciprocal of the largest of B B.T
         worst_whiten = max(worst_whiten, float(np.abs(
-            t.matrix.T @ t.covariance @ t.matrix - np.eye(d)).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(t.covariance).min()))
+            b.T @ (within + 0.5 * np.eye(d)) @ b - np.eye(d)).max()))
+        min_eig = min(min_eig, 1.0 / float(np.linalg.eigvalsh(b @ b.T).max()))
 
     snorm_ok = all(apply_snorm(s, (0.0, 1.0), (0.0, 1.0)) == s
                    for s in (-2.0, -0.5, 0.0, 0.7, 3.0))

@@ -27,7 +27,7 @@ from tdsv.errors import (DegenerateError, DimensionError,
                          InsufficientDataError, IterationLimitError,
                          NumericalError, RankDeficiencyError, TdsvError,
                          TensorFormatError, UnknownIdError)
-from tdsv.fileio import write_tensor
+from tdsv.fileio import write_tensor, write_tensor_dir
 from tdsv.metrics import ScoredTrials
 from tdsv.trials import EmbeddingRecord
 
@@ -39,28 +39,33 @@ def _random_spd(rng, d):
 
 class TestWccnAlgebra:
     def test_identity_covariance_closed_form(self):
-        t = wccn_from_covariance(np.eye(3))
-        assert np.allclose(t.matrix, np.sqrt(2.0 / 3.0) * np.eye(3))
-        assert abs(t.matrix[0, 0] - 0.8164966) < 1e-6
+        b = wccn_from_covariance(np.eye(3))
+        assert np.allclose(b, np.sqrt(2.0 / 3.0) * np.eye(3))
+        assert abs(b[0, 0] - 0.8164966) < 1e-6
 
     def test_zero_covariance_closed_form(self):
-        t = wccn_from_covariance(np.zeros((4, 4)))
-        assert np.allclose(t.matrix, np.sqrt(2.0) * np.eye(4))
+        b = wccn_from_covariance(np.zeros((4, 4)))
+        assert np.allclose(b, np.sqrt(2.0) * np.eye(4))
 
     @given(st.integers(0, 5000), st.integers(2, 12))
     @settings(max_examples=60, deadline=None)
     def test_whitening_identity(self, seed, d):
+        # Wbar = W + I/2 is formed here from the input, not read back from
+        # the fit, so a wrong regularizer cannot pass
         rng = np.random.default_rng(seed)
-        t = wccn_from_covariance(_random_spd(rng, d))
-        err = np.abs(t.matrix.T @ t.covariance @ t.matrix - np.eye(d)).max()
-        assert err < 1e-6
+        within = _random_spd(rng, d)
+        b = wccn_from_covariance(within)
+        wbar = within + 0.5 * np.eye(d)
+        assert np.array_equal(b, np.tril(b))
+        assert np.abs(b.T @ wbar @ b - np.eye(d)).max() < 1e-6
 
     @given(st.integers(0, 5000), st.integers(2, 12))
     @settings(max_examples=60, deadline=None)
     def test_regularized_eigenvalues_bounded_below(self, seed, d):
+        # B B.T = Wbar^-1, so eig(Wbar) >= 1/2 is eig(B B.T) <= 2
         rng = np.random.default_rng(seed)
-        t = wccn_from_covariance(_random_spd(rng, d))
-        assert np.linalg.eigvalsh(t.covariance).min() >= 0.5 - 1e-9
+        b = wccn_from_covariance(_random_spd(rng, d))
+        assert np.linalg.eigvalsh(b @ b.T).max() <= 2.0 + 1e-9
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
@@ -73,15 +78,15 @@ class TestFitWccn:
             fit_wccn({"a": np.eye(2)})
 
     def test_single_utterance_speakers_give_zero_within(self):
-        t = fit_wccn({"a": np.array([[1.0, 0.0]]),
+        b = fit_wccn({"a": np.array([[1.0, 0.0]]),
                       "b": np.array([[0.0, 1.0]])})
-        assert np.allclose(t.matrix, np.sqrt(2.0) * np.eye(2))
+        assert np.allclose(b, np.sqrt(2.0) * np.eye(2))
 
     def test_normalizes_rows_first(self):
         rng = np.random.default_rng(0)
         rows = {s: rng.normal(size=(4, 3)) for s in "abc"}
         scaled = {s: 5.0 * v for s, v in rows.items()}
-        assert np.allclose(fit_wccn(rows).matrix, fit_wccn(scaled).matrix)
+        assert np.allclose(fit_wccn(rows), fit_wccn(scaled))
 
     def test_rejects_empty_speaker(self):
         with pytest.raises(DimensionError):
@@ -424,7 +429,7 @@ class TestPhraseGlue:
         small = fit_backends(records, background, cohort_size=4)
         assert small["p0"].cohort_ids == ("s0_p0_0", "s0_p0_1", "s1_p0_0", "s2_p0_0")
         assert small["p0"].cohort.shape == (4, 8)
-        assert np.array_equal(small["p0"].wccn.matrix, full["p0"].wccn.matrix)
+        assert np.array_equal(small["p0"].wccn, full["p0"].wccn)
 
     def test_fit_backends_rejects_missing_embedding(self):
         rng = np.random.default_rng(31)
@@ -437,6 +442,13 @@ class TestPhraseGlue:
         records = _toy_records(rng)
         with pytest.raises(InsufficientDataError):
             fit_backends(records, {"p0": ["s0_p1_0"]})
+
+    def test_fit_backends_rejects_no_phrases(self):
+        # an empty mapping would save a backend that cannot be loaded
+        records = _toy_records(np.random.default_rng(36))
+        with pytest.raises(InsufficientDataError,
+                           match="no background utterances"):
+            fit_backends(records, {})
 
     @pytest.fixture()
     def scored_setup(self):
@@ -580,7 +592,7 @@ class TestPhraseGlue:
         for phrase, b in backends.items():
             r = restored[phrase]
             assert r.cohort_ids == b.cohort_ids
-            assert np.allclose(r.wccn.matrix, b.wccn.matrix, atol=1e-5)
+            assert np.allclose(r.wccn, b.wccn, atol=1e-5)
             assert np.allclose(r.cohort, b.cohort, atol=1e-5)
 
     def test_backend_round_trip_is_exact(self, scored_setup, tmp_path):
@@ -589,8 +601,7 @@ class TestPhraseGlue:
         restored = load_backends(tmp_path / "backend")
         for phrase, b in backends.items():
             r = restored[phrase]
-            assert np.array_equal(r.wccn.matrix, b.wccn.matrix)
-            assert np.array_equal(r.wccn.covariance, b.wccn.covariance)
+            assert np.array_equal(r.wccn, b.wccn)
             assert np.array_equal(r.cohort, b.cohort)
         assert (score_trials(trials, records, enroll, restored)
                 == score_trials(trials, records, enroll, backends))
@@ -786,9 +797,27 @@ class TestArtifactLoadErrors:
                 load_backends(tmp_path / "backend")
             assert name in str(exc.value) and "\n" not in str(exc.value)
             dropped.append(name)
-        # phrases, two cohort id lists, three tensors for each of two phrases
-        assert len(dropped) == 9
+        # phrases, two cohort id lists, two tensors for each of two phrases
+        assert len(dropped) == 7
         assert sorted(load_backends(tmp_path / "backend")) == ["p0", "p1"]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_backend_older_version_refused(self, tmp_path, version):
+        # versions 1 and 2 also stored the regularized covariance
+        _, backends, _, _ = _scoring_setup(13, 1, 4)
+        b = backends["p0"]
+        root = tmp_path / "backend"
+        write_tensor_dir(root, "svbackend", version,
+                         {"phrases": "p0", "cohort.p0": ",".join(b.cohort_ids)},
+                         {"p0.wccn_matrix": b.wccn,
+                          "p0.wccn_covariance": np.eye(4),
+                          "p0.cohort": b.cohort},
+                         np.float32 if version == 1 else np.float64)
+        with pytest.raises(TensorFormatError) as exc:
+            load_backends(root)
+        assert str(exc.value) == (
+            f"expected 'svbackend 3' header in {root / 'manifest.txt'}, "
+            f"got 'svbackend {version}'")
 
     def test_backend_mis_shaped_cohort(self, tmp_path):
         records, backends, _, _ = _scoring_setup(12, 1, 4)
@@ -843,9 +872,7 @@ class TestArtifactRoundTripProperties:
         for phrase, b in backends.items():
             r = restored[phrase]
             assert r.cohort_ids == b.cohort_ids
-            for got, want in ((r.wccn.matrix, b.wccn.matrix),
-                              (r.wccn.covariance, b.wccn.covariance),
-                              (r.cohort, b.cohort)):
+            for got, want in ((r.wccn, b.wccn), (r.cohort, b.cohort)):
                 assert got.dtype == want.dtype == np.float64
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()

@@ -532,6 +532,24 @@ class TestErrorTyping:
         assert not (tmp_path / "out" / "backend").exists()
         assert not (tmp_path / "out" / "scores.tsv").exists()
 
+    def test_score_without_background_fails_before_writing(
+            self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        shutil.copytree(corpus, tmp_path / "corpus",
+                        ignore=shutil.ignore_patterns("wav"))
+        table = tmp_path / "corpus" / "corpus.tsv"
+        table.write_text("".join(ln for ln in table.read_text().splitlines(True)
+                                 if ln.split("\t")[3] != "bg"))
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(tmp_path / "corpus"),
+                   "--embeddings", str(run / "embeddings.tsv"),
+                   "--trials", str(corpus / "trials_dev.tsv")])
+        assert rc == 2
+        err = self._one_error(capsys)
+        assert "no background utterances to fit a backend on" in err
+        assert not (tmp_path / "out" / "backend").exists()
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
     @pytest.mark.parametrize("command", ["train", "embed"])
     def test_short_wav_names_file(self, pipeline, tmp_path, capsys, command):
         from tdsv.trials import read_corpus
@@ -692,7 +710,7 @@ class TestCohortSize:
             speakers = [records[u].speaker_id for u in b.cohort_ids]
             assert len(set(speakers)) == len({records[u].speaker_id
                                               for u in full[phrase].cohort_ids})
-            assert np.array_equal(b.wccn.matrix, full[phrase].wccn.matrix)
+            assert np.array_equal(b.wccn, full[phrase].wccn)
         _, scores = read_scores_by_row(tmp_path / "scores.tsv")
         assert all(np.isfinite(s) for s in scores)
 

@@ -1,15 +1,17 @@
 """Training loop behavior on a narrow network clone."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import write_training_log
 from tdsv import nn
 from tdsv.config import PipelineConfig
 from tdsv.errors import DimensionError, NumericalError
 from tdsv.resnet import Network, NetworkConfig, load_network
-from tdsv.train import EpochStats, train, write_training_log
+from tdsv.train import train
 
 TINY = NetworkConfig(input_height=17, input_width=20, stem_channels=2,
                      block_channels=(2, 2, 4, 4), block_strides=(1, 1, 2, 1),
@@ -116,13 +118,18 @@ class TestTrain:
 
 class TestTrainingLog:
     def test_csv_format(self, tmp_path):
-        path = tmp_path / "log.csv"
-        write_training_log(path, [EpochStats(1, 1.23456789, 0.5),
-                                  EpochStats(2, 0.9, 1.0)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss,accuracy"
-        assert lines[1] == "1,1.234568,0.500000"
-        assert lines[2] == "2,0.900000,1.000000"
+        net = Network(TINY, seed=14, dtype=np.float64)
+        x, y = _data()
+        history = train(net, x, y, PipelineConfig(epochs=2, batch_size=4,
+                                                  learning_rate=1e-4), 0,
+                        **_outputs(tmp_path))
+        lines = (tmp_path / "log.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"epoch,loss,accuracy" and lines[-1] == b""
+        assert len(lines) == 2 + len(history) == 4
+        for line, stats in zip(lines[1:], history):
+            assert re.fullmatch(rb"\d+,\d+\.\d{6},[01]\.\d{6}", line)
+            assert line.decode() == (f"{stats.epoch},{stats.loss:.6f},"
+                                     f"{stats.accuracy:.6f}")
 
     def test_log_written_as_epochs_finish(self, tmp_path, capsys):
         net = Network(TINY, seed=12, dtype=np.float64)
