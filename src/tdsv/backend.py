@@ -220,8 +220,7 @@ class PhraseBackend:
     """Per-phrase scoring artifacts: WCCN matrix plus the s-norm cohort."""
 
     wccn: np.ndarray    # [d, d] WCCN matrix B (wccn_from_covariance)
-    cohort_ids: tuple[str, ...]
-    cohort: np.ndarray  # [n_cohort, d] raw embeddings, rows follow cohort_ids
+    cohort: np.ndarray  # [n_cohort, d] raw embeddings in utterance-id order
 
 
 def _embedding(records: dict, utt: str, kind: str, phrase: str | None = None,
@@ -276,10 +275,9 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
         # round-robin: every speaker's first utterance, then every second, ...
         turns = sorted((rank, utt) for utts in by_speaker.values()
                        for rank, utt in enumerate(utts))
-        cohort_ids = sorted(utt for _, utt in turns[:cohort_size or None])
+        chosen = sorted(utt for _, utt in turns[:cohort_size or None])
         backends[phrase] = PhraseBackend(
-            wccn, tuple(cohort_ids),
-            np.stack([records[u].vector for u in cohort_ids]))
+            wccn, np.stack([records[u].vector for u in chosen]))
     return backends
 
 
@@ -368,46 +366,43 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
     """Write ``backends`` as one directory artifact.  The manifest joins
-    phrase and cohort ids with ',' and keys each cohort list
-    ``cohort.<phrase>=``, so an id that holds one of these separators is a
-    TensorFormatError before any file is written."""
-    for phrase, b in backends.items():
-        for kind, ids, separators in (("phrase", (phrase,), ",="),
-                                      ("cohort utterance", b.cohort_ids, ",")):
-            for i in ids:
-                for sep in separators:
-                    if sep in i:
-                        raise TensorFormatError(
-                            f"cannot save backend: {kind} id '{i}' "
-                            f"contains '{sep}'")
-    fields = {"phrases": ",".join(sorted(backends))}
+    phrase ids with ',', so a phrase id that holds one, or an empty
+    mapping, is a TensorFormatError before any file is written."""
+    if not backends:
+        raise TensorFormatError("cannot save backend: it holds no phrases")
+    for phrase in backends:
+        if "," in phrase:
+            raise TensorFormatError(
+                f"cannot save backend: phrase id '{phrase}' contains ','")
     tensors = {}
     for phrase in sorted(backends):
-        b = backends[phrase]
-        fields[f"cohort.{phrase}"] = ",".join(b.cohort_ids)
-        tensors[f"{phrase}.wccn_matrix"] = b.wccn
-        tensors[f"{phrase}.cohort"] = b.cohort
-    fileio.write_tensor_dir(path, "svbackend", 3, fields, tensors, np.float64)
+        tensors[f"{phrase}.wccn_matrix"] = backends[phrase].wccn
+        tensors[f"{phrase}.cohort"] = backends[phrase].cohort
+    fileio.write_tensor_dir(path, "svbackend", 4,
+                            {"phrases": ",".join(sorted(backends))},
+                            tensors, np.float64)
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
-    """Rebuild saved backends; a missing or mis-shaped field or tensor is a
-    TensorFormatError, and so is a manifest of another version than
-    ``svbackend 3`` (versions 1 and 2 must be refit)."""
-    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 3)
+    """Rebuild saved backends; a missing or mis-shaped field or tensor, a
+    manifest that lists no phrases, or one of another version than
+    ``svbackend 4`` (versions 1 to 3 must be refit) is a
+    TensorFormatError."""
+    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 4)
+    # tensors, not an empty 'phrases=', which also names the phrase id ''
+    if not tensors:
+        raise TensorFormatError(f"backend {path} lists no phrases")
     backends = {}
     try:
         for phrase in fields["phrases"].split(","):
             wccn = tensors[f"{phrase}.wccn_matrix"]
-            cohort_ids = tuple(fields[f"cohort.{phrase}"].split(","))
             cohort = tensors[f"{phrase}.cohort"]
             d = wccn.shape[0]
-            if wccn.shape != (d, d) or cohort.shape != (len(cohort_ids), d):
+            if wccn.shape != (d, d) or cohort.shape[1:] != (d,):
                 raise TensorFormatError(
                     f"backend {path} phrase '{phrase}' has shapes "
-                    f"{wccn.shape} and {cohort.shape} for "
-                    f"{len(cohort_ids)} cohort ids")
-            backends[phrase] = PhraseBackend(wccn, cohort_ids, cohort)
+                    f"{wccn.shape} and {cohort.shape}, not (d, d) and (n, d)")
+            backends[phrase] = PhraseBackend(wccn, cohort)
     except KeyError as exc:
         raise TensorFormatError(
             f"backend {path} has no field or tensor {exc}") from None

@@ -236,13 +236,13 @@ def cmd_eval(args) -> int:
     from .fileio import atomic_write_text
     from .metrics import (ScoredTrials, compute_det, det_csv_lines,
                           det_probit_csv_lines, summary_lines)
-    from .trials import labeled_targets, read_scores
+    from .trials import labeled_targets
 
-    table, scores = read_scores(args.scores)
+    table, scores = _aligned_scores([args.scores])
     keep, is_target = labeled_targets(table.labels)
     if not keep.any():
         raise DegenerateError(f"no labeled trials in {args.scores}")
-    trials = ScoredTrials(scores[keep], is_target)
+    trials = ScoredTrials(scores[keep, 0], is_target)
     det = compute_det(trials)
     summary = summary_lines(trials, det, p_tar=args.p_tar)
     out = _out(args)
@@ -255,15 +255,16 @@ def cmd_eval(args) -> int:
 
 
 def _aligned_scores(paths):
-    """Read several per-system score files and align them on trial keys:
-    the first file's table and a [trials, systems] score matrix.  A
+    """Read one or more per-system score files and align them on trial
+    keys: the first file's table and a [trials, systems] score matrix.  A
     non-finite score is a NumericalError naming its file and trial."""
     import numpy as np
 
     from .trials import read_scores
 
     baseline, scores = read_scores(paths[0])
-    keys = list(zip(*baseline[:3]))
+    # trial keys only to align further files, so eval's one file builds none
+    keys = list(zip(*baseline[:3])) if paths[1:] else []
     columns = [scores]
     for path in paths[1:]:
         table, scores = read_scores(path)
@@ -276,8 +277,9 @@ def _aligned_scores(paths):
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         row, system = bad[0]
+        key = tuple(column[row] for column in baseline[:3])
         raise NumericalError(f"{paths[system]}: non-finite score "
-                             f"{matrix[row, system]} for trial {keys[row]}")
+                             f"{matrix[row, system]} for trial {key}")
     return baseline, matrix
 
 

@@ -89,8 +89,10 @@ def write_tensor(path: str | Path, array: np.ndarray, dtype=np.float32) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+    try:
+        return tensor_from_bytes(Path(path).read_bytes())
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
 
 
 def write_manifest(path: str | Path, kind: str, version: int,

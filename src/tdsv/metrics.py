@@ -80,11 +80,11 @@ def _eer_from_points(p_miss, p_fa) -> float:
     return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
-def _min_dcf(det: DetCurve, p_tar: float, c_miss: float, c_fa: float) -> float:
+def _min_dcf(det: DetCurve, p_tar: float) -> float:
     if not 0.0 < p_tar < 1.0:
         raise DegenerateError(f"p_tar must lie in (0, 1), got {p_tar}")
-    costs = c_miss * p_tar * det.p_miss + c_fa * (1.0 - p_tar) * det.p_fa
-    return float(costs.min() / min(c_miss * p_tar, c_fa * (1.0 - p_tar)))
+    costs = p_tar * det.p_miss + (1.0 - p_tar) * det.p_fa
+    return float(costs.min() / min(p_tar, 1.0 - p_tar))
 
 
 def _reprs_by_value(values: np.ndarray, fn=None) -> list[str]:
@@ -117,7 +117,7 @@ def summary_lines(trials: ScoredTrials, det: DetCurve,
     num_tgt = int(trials.labels.sum())
     return [
         f"eer={_eer_from_points(det.p_miss, det.p_fa):.4f}",
-        f"min_dcf={_min_dcf(det, p_tar, 1.0, 1.0):.4f}",
+        f"min_dcf={_min_dcf(det, p_tar):.4f}",
         f"p_tar={p_tar!r}",
         f"num_target={num_tgt}",
         f"num_nontarget={trials.labels.size - num_tgt}",

@@ -162,12 +162,11 @@ def loop_eer_from_points(p_miss, p_fa) -> float:
     raise NumericalError("miss and false-alarm curves never cross")
 
 
-def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
-                        c_miss: float = 1.0, c_fa: float = 1.0) -> float:
+def brute_force_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3) -> float:
     det = brute_force_det(trials)
-    best = min(c_miss * p_tar * float(pm) + c_fa * (1.0 - p_tar) * float(pf)
+    best = min(p_tar * float(pm) + (1.0 - p_tar) * float(pf)
                for pm, pf in zip(det.p_miss, det.p_fa))
-    return best / min(c_miss * p_tar, c_fa * (1.0 - p_tar))
+    return best / min(p_tar, 1.0 - p_tar)
 
 
 def det_csv_lines_oracle(det: DetCurve) -> list[str]:
@@ -332,9 +331,8 @@ def compute_eer(trials: ScoredTrials) -> float:
     return _eer_from_points(det.p_miss, det.p_fa)
 
 
-def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3,
-                    c_miss: float = 1.0, c_fa: float = 1.0) -> float:
-    return _min_dcf(compute_det(trials), p_tar, c_miss, c_fa)
+def compute_min_dcf(trials: ScoredTrials, p_tar: float = 1e-3) -> float:
+    return _min_dcf(compute_det(trials), p_tar)
 
 
 def eer_permutation_pvalue(trials: ScoredTrials, num_permutations: int = 199,

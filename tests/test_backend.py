@@ -417,9 +417,8 @@ class TestPhraseGlue:
                   for p in ("p0", "p1")}
         backends = fit_backends(records, cohort)
         assert sorted(backends) == ["p0", "p1"]
-        b = backends["p0"]
-        assert b.cohort_ids == tuple(sorted(cohort["p0"]))
-        assert b.cohort.shape == (9, 8)
+        assert np.array_equal(backends["p0"].cohort, np.stack(
+            [records[u].vector for u in sorted(cohort["p0"])]))
 
     def test_fit_backends_cohort_size_round_robin(self):
         records = _toy_records(np.random.default_rng(34))
@@ -427,8 +426,9 @@ class TestPhraseGlue:
                       for p in ("p0", "p1")}
         full = fit_backends(records, background)
         small = fit_backends(records, background, cohort_size=4)
-        assert small["p0"].cohort_ids == ("s0_p0_0", "s0_p0_1", "s1_p0_0", "s2_p0_0")
-        assert small["p0"].cohort.shape == (4, 8)
+        assert np.array_equal(small["p0"].cohort, np.stack(
+            [records[u].vector
+             for u in ("s0_p0_0", "s0_p0_1", "s1_p0_0", "s2_p0_0")]))
         assert np.array_equal(small["p0"].wccn, full["p0"].wccn)
 
     def test_fit_backends_rejects_missing_embedding(self):
@@ -591,7 +591,6 @@ class TestPhraseGlue:
         assert sorted(restored) == sorted(backends)
         for phrase, b in backends.items():
             r = restored[phrase]
-            assert r.cohort_ids == b.cohort_ids
             assert np.allclose(r.wccn, b.wccn, atol=1e-5)
             assert np.allclose(r.cohort, b.cohort, atol=1e-5)
 
@@ -606,20 +605,44 @@ class TestPhraseGlue:
         assert (score_trials(trials, records, enroll, restored)
                 == score_trials(trials, records, enroll, backends))
 
-    @pytest.mark.parametrize("phrase, cohort_id, bad", [
-        ("p,0", "s0_p0_0", "phrase id 'p,0' contains ','"),
-        ("p=0", "s0_p0_0", "phrase id 'p=0' contains '='"),
-        ("p0", "s0,p0_0", "cohort utterance id 's0,p0_0' contains ','")])
-    def test_save_rejects_id_the_manifest_cannot_hold(
-            self, scored_setup, tmp_path, phrase, cohort_id, bad):
+    def test_save_rejects_phrase_id_with_comma(self, scored_setup, tmp_path):
         _, backends, _, _ = scored_setup
-        b = backends["p0"]
-        renamed = {phrase: replace(b, cohort_ids=(cohort_id,) + b.cohort_ids[1:]),
-                   "p1": backends["p1"]}
-        with pytest.raises(TensorFormatError, match=re.escape(bad)) as exc:
+        renamed = {"p,0": backends["p0"], "p1": backends["p1"]}
+        with pytest.raises(TensorFormatError, match=re.escape(
+                "phrase id 'p,0' contains ','")) as exc:
             save_backends(tmp_path / "backend", renamed)
         assert "\n" not in str(exc.value)
         assert not (tmp_path / "backend").exists()
+
+    def test_save_rejects_empty_backend(self, tmp_path):
+        with pytest.raises(TensorFormatError, match="holds no phrases"):
+            save_backends(tmp_path / "backend", {})
+        assert not (tmp_path / "backend").exists()
+
+    @pytest.mark.parametrize("phrase, suffix", [
+        ("p=0", ""), ("p 0", ""), ("", ""), ("p0", ",x")])
+    def test_ids_with_other_separators_round_trip(
+            self, tmp_path, phrase, suffix):
+        # '=', ' ' or nothing in a phrase id, and ',' in a background
+        # utterance id: the backend saves, reloads and scores as fitted
+        records = _toy_records(np.random.default_rng(33),
+                               phrases=(phrase, "p1"))
+        utt = f"s0_{phrase}_0"
+        records[utt + suffix] = replace(records.pop(utt),
+                                        utterance_id=utt + suffix)
+        background = {p: [u for u, r in records.items() if r.phrase_id == p]
+                      for p in (phrase, "p1")}
+        backends = fit_backends(records, background)
+        speakers = ("s0", "s1", "s2")
+        enroll = {f"{spk}-m": [f"{spk}_{phrase}_1"] for spk in speakers}
+        trials = trial_table([(f"{m}-m", f"{t}_{phrase}_2", phrase,
+                               "tgt" if m == t else "non")
+                              for m in speakers for t in speakers])
+        save_backends(tmp_path / "backend", backends)
+        restored = load_backends(tmp_path / "backend")
+        assert sorted(restored) == sorted(backends)
+        assert (score_trials(trials, records, enroll, restored)
+                == score_trials(trials, records, enroll, backends))
 
     def test_snorm_matches_scalar_reference(self):
         records = _toy_records(np.random.default_rng(35), utts=4)
@@ -653,8 +676,7 @@ class TestPhraseGlue:
         flat_cohort = np.zeros((2, 8))
         flat_cohort[:, 0] = (1.0, 2.0)
         broken = {**backends, "p1": PhraseBackend(
-            wccn_from_covariance(np.zeros((8, 8))),
-            p1.cohort_ids[:2], flat_cohort)}
+            wccn_from_covariance(np.zeros((8, 8))), flat_cohort)}
         with pytest.raises(DegenerateError):
             score_trials(trial_table([("s0-p1", "s0_p1_2", "p1", "tgt")]),
                          records, {"s0-p1": ["s0_p1_0"]}, broken)
@@ -797,33 +819,43 @@ class TestArtifactLoadErrors:
                 load_backends(tmp_path / "backend")
             assert name in str(exc.value) and "\n" not in str(exc.value)
             dropped.append(name)
-        # phrases, two cohort id lists, two tensors for each of two phrases
-        assert len(dropped) == 7
+        # phrases, and two tensors for each of two phrases
+        assert len(dropped) == 5
         assert sorted(load_backends(tmp_path / "backend")) == ["p0", "p1"]
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_backend_older_version_refused(self, tmp_path, version):
-        # versions 1 and 2 also stored the regularized covariance
+        # versions 1 to 3 also stored the cohort's utterance ids, and
+        # versions 1 and 2 the regularized covariance
         _, backends, _, _ = _scoring_setup(13, 1, 4)
         b = backends["p0"]
         root = tmp_path / "backend"
+        tensors = {"p0.wccn_matrix": b.wccn, "p0.cohort": b.cohort}
+        if version < 3:
+            tensors["p0.wccn_covariance"] = np.eye(4)
+        ids = ",".join(f"u{i}" for i in range(len(b.cohort)))
         write_tensor_dir(root, "svbackend", version,
-                         {"phrases": "p0", "cohort.p0": ",".join(b.cohort_ids)},
-                         {"p0.wccn_matrix": b.wccn,
-                          "p0.wccn_covariance": np.eye(4),
-                          "p0.cohort": b.cohort},
-                         np.float32 if version == 1 else np.float64)
+                         {"phrases": "p0", "cohort.p0": ids},
+                         tensors, np.float32 if version == 1 else np.float64)
         with pytest.raises(TensorFormatError) as exc:
             load_backends(root)
         assert str(exc.value) == (
-            f"expected 'svbackend 3' header in {root / 'manifest.txt'}, "
+            f"expected 'svbackend 4' header in {root / 'manifest.txt'}, "
             f"got 'svbackend {version}'")
+
+    def test_backend_listing_no_phrases(self, tmp_path):
+        root = tmp_path / "backend"
+        write_tensor_dir(root, "svbackend", 4, {"phrases": ""}, {})
+        with pytest.raises(TensorFormatError) as exc:
+            load_backends(root)
+        assert str(exc.value) == f"backend {root} lists no phrases"
 
     def test_backend_mis_shaped_cohort(self, tmp_path):
         records, backends, _, _ = _scoring_setup(12, 1, 4)
         save_backends(tmp_path / "backend", backends)
+        # one row short is still a cohort; one column short is not
         cohort = backends["p0"].cohort
-        write_tensor(tmp_path / "backend" / "p0.cohort.svt", cohort[:-1],
+        write_tensor(tmp_path / "backend" / "p0.cohort.svt", cohort[:, :-1],
                      np.float64)
         with pytest.raises(TensorFormatError, match="p0"):
             load_backends(tmp_path / "backend")
@@ -871,7 +903,6 @@ class TestArtifactRoundTripProperties:
         assert sorted(restored) == sorted(backends)
         for phrase, b in backends.items():
             r = restored[phrase]
-            assert r.cohort_ids == b.cohort_ids
             for got, want in ((r.wccn, b.wccn), (r.cohort, b.cohort)):
                 assert got.dtype == want.dtype == np.float64
                 assert got.shape == want.shape

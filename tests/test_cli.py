@@ -206,6 +206,39 @@ class TestCliContracts:
         assert "no tensor 'block2.bn1.running_var'" in err
         assert not (tmp_path / "out" / "embeddings.tsv").exists()
 
+    def test_embed_truncated_tensor_names_its_file(self, pipeline, tmp_path,
+                                                   capsys):
+        corpus, run = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(run / "model", model)
+        tensor = model / "stem.conv.weight.svt"
+        tensor.write_bytes(tensor.read_bytes()[:-8])
+        rc = main(["--output-dir", str(tmp_path / "out"), "embed",
+                   "--corpus", str(corpus), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {tensor}: payload holds ")
+        assert not (tmp_path / "out" / "embeddings.tsv").exists()
+
+    def test_backend_tensor_bad_magic_names_its_file(self, pipeline, tmp_path,
+                                                     capsys):
+        corpus, run = pipeline
+        backend = tmp_path / "backend"
+        shutil.copytree(run / "dev" / "backend", backend)
+        tensor = next(backend.glob("*.cohort.svt"))
+        tensor.write_bytes(b"XXXX" + tensor.read_bytes()[4:])
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus),
+                   "--embeddings", str(run / "embeddings.tsv"),
+                   "--trials", str(corpus / "trials_eval.tsv"),
+                   "--backend", str(backend)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {tensor}: bad magic: not an SVT1 or SVT8 "
+                       "tensor file\n")
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
     def test_embed_rejects_8khz_corpus(self, pipeline, tmp_path, capsys):
         from tdsv.trials import CorpusEntry, write_corpus
 
@@ -510,8 +543,9 @@ class TestErrorTyping:
         assert out.stderr == (f"error: test utterance '{utt}' has an embedding "
                               "whose norm overflows\n")
 
-    def test_backend_id_with_separator_rejected_before_writing(
-            self, pipeline, tmp_path, capsys):
+    def test_background_id_with_comma_scores_as_without(
+            self, pipeline, tmp_path):
+        # a saved backend keeps no utterance ids, so any bg id saves
         corpus, run = pipeline
         shutil.copytree(corpus, tmp_path / "corpus",
                         ignore=shutil.ignore_patterns("wav"))
@@ -526,11 +560,9 @@ class TestErrorTyping:
         rc = main(["--output-dir", str(tmp_path / "out"), "score",
                    "--corpus", str(tmp_path / "corpus"), "--embeddings", str(emb),
                    "--trials", str(corpus / "trials_dev.tsv")])
-        assert rc == 2
-        err = self._one_error(capsys)
-        assert f"cohort utterance id '{utt},x' contains ','" in err
-        assert not (tmp_path / "out" / "backend").exists()
-        assert not (tmp_path / "out" / "scores.tsv").exists()
+        assert rc == 0
+        assert ((tmp_path / "out" / "scores.tsv").read_bytes()
+                == (run / "dev" / "scores.tsv").read_bytes())
 
     def test_score_without_background_fails_before_writing(
             self, pipeline, tmp_path, capsys):
@@ -608,6 +640,22 @@ class TestErrorTyping:
         err = self._one_error(capsys)
         assert f"{files[flag]}: non-finite score {value}" in err
         assert not (tmp_path / "out" / "fused_scores.tsv").exists()
+
+    def test_nonfinite_eval_score_names_file_and_trial(self, pipeline,
+                                                       tmp_path, capsys):
+        _, run = pipeline
+        first, second, *rest = (run / "dev" / "scores.tsv").read_text(
+            ).splitlines(True)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(first + second.rsplit("\t", 1)[0] + "\tnan\n"
+                       + "".join(rest))
+        rc = main(["--output-dir", str(tmp_path / "out"), "eval",
+                   "--scores", str(bad)])
+        assert rc == 2
+        key = tuple(second.split("\t")[:3])
+        assert capsys.readouterr().err == (
+            f"error: {bad}: non-finite score nan for trial {key}\n")
+        assert not (tmp_path / "out" / "summary.txt").exists()
 
     def test_binary_trials_file(self, pipeline, tmp_path, capsys):
         corpus, run = pipeline
@@ -701,15 +749,21 @@ class TestCohortSize:
         _, run = pipeline
         assert self._score(pipeline, tmp_path, size) == 0
         records = read_embeddings(run / "embeddings.tsv")
+        utt_of = {r.vector.tobytes(): u for u, r in records.items()}
+        assert len(utt_of) == len(records)
         small = load_backends(tmp_path / "backend")
         full = load_backends(run / "dev" / "backend")
         assert small.keys() == full.keys()
         for phrase, b in small.items():
-            assert len(b.cohort_ids) == size
-            assert b.cohort_ids == tuple(sorted(b.cohort_ids))
-            speakers = [records[u].speaker_id for u in b.cohort_ids]
-            assert len(set(speakers)) == len({records[u].speaker_id
-                                              for u in full[phrase].cohort_ids})
+            # each cohort row is, byte for byte, one utterance's embedding
+            ids = [utt_of[row.tobytes()] for row in b.cohort]
+            full_ids = [utt_of[row.tobytes()] for row in full[phrase].cohort]
+            assert len(ids) == size
+            assert ids == sorted(ids)
+            assert {records[u].phrase_id for u in ids} == {phrase}
+            speakers = {records[u].speaker_id for u in ids}
+            assert len(speakers) == len({records[u].speaker_id
+                                         for u in full_ids})
             assert np.array_equal(b.wccn, full[phrase].wccn)
         _, scores = read_scores_by_row(tmp_path / "scores.tsv")
         assert all(np.isfinite(s) for s in scores)

@@ -108,8 +108,9 @@ class TestAgainstBruteForce:
         assert compute_eer(trials) == brute_force_eer(trials)
         assert (compute_min_dcf(trials, p_tar=1e-3)
                 == brute_force_min_dcf(trials, p_tar=1e-3))
-        assert (compute_min_dcf(trials, p_tar=0.3, c_miss=10.0)
-                == brute_force_min_dcf(trials, p_tar=0.3, c_miss=10.0))
+        # p_tar > 1/2: the normalizer is the (1 - p_tar) branch
+        assert (compute_min_dcf(trials, p_tar=0.7)
+                == brute_force_min_dcf(trials, p_tar=0.7))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
