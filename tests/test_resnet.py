@@ -1,13 +1,15 @@
 """Residual embedding network: construction, shapes, gradients, IO."""
 
 import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import numeric_gradient, relative_error
+from helpers import golden_environment, numeric_gradient, relative_error
 from tdsv import fileio, nn
 from tdsv.backend import length_normalize
 from tdsv.errors import (DegenerateError, DimensionError, TensorFormatError,
@@ -499,3 +501,41 @@ class TestGoldenBytes:
         assert len(names) == 118
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f6d4eb912cf4b74b82955346c4adba3279cfea048173eefbc4e594044246a55e")
+
+
+class TestGoldenFull:
+    """Bytes of the published network's inference path: a seeded ``full``
+    net with seeded BN statistics, saved and reloaded as ``tdsv embed``
+    loads it, embeds two seeded spectrograms.  A change to the conv or
+    batch-norm forward at 64-512 channels, to the checkpoint round trip or
+    to the weight layout that moves one embedding bit fails here.  The
+    bytes hold only where numpy and the BLAS accumulate alike, so the test
+    is gated on the environment recorded with them."""
+
+    GOLDEN = Path(__file__).parent / "golden_full.json"
+
+    @staticmethod
+    def embeddings(tmp_path):
+        net = Network(replace(PRESETS["full"], num_speakers=97), seed=0)
+        stats = np.random.default_rng(1)
+        for bn in net.batchnorms():
+            bn.running_mean[...] = stats.normal(scale=0.5, size=bn.channels)
+            bn.running_var[...] = stats.uniform(0.5, 2.0, size=bn.channels)
+            bn.initialized = True
+        save_network(net, tmp_path / "model")
+        net = load_network(tmp_path / "model")
+        inputs = np.random.default_rng(2).normal(
+            size=(2, PRESETS["full"].input_height, PRESETS["full"].input_width))
+        return np.stack([extract_embedding(net, x) for x in inputs])
+
+    def test_embedding_bytes(self, tmp_path):
+        golden = json.loads(self.GOLDEN.read_text())
+        env = golden_environment()
+        differs = [k for k, v in golden["environment"].items() if env.get(k) != v]
+        if differs:
+            pytest.skip(f"golden not checked: {differs[0]} differs")
+        emb = self.embeddings(tmp_path)
+        assert emb.dtype == np.float32 and emb.shape == (2, 512)
+        assert np.all(np.isfinite(emb))
+        assert (hashlib.sha256(emb.tobytes()).hexdigest()
+                == golden["digests"]["embeddings"])
