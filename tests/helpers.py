@@ -28,18 +28,20 @@ def relative_error(a, b, floor=1e-12):
 
 
 def numeric_gradient(fn, array, step=1e-5):
-    """Central finite differences of a scalar function w.r.t. one array."""
-    grad = np.zeros_like(array, dtype=np.float64)
-    flat = array.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    """Central finite differences of a scalar function w.r.t. one array.
+
+    Each entry is nudged in place through its index, so the nudge reaches
+    whatever ``fn`` reads through ``array`` on any memory layout (a reshape
+    of a non-contiguous view would silently nudge a copy)."""
+    grad = np.zeros(array.shape)
+    for i in np.ndindex(array.shape):
+        orig = array[i]
+        array[i] = orig + step
         up = fn()
-        flat[i] = orig - step
+        array[i] = orig - step
         down = fn()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * step)
+        array[i] = orig
+        grad[i] = (up - down) / (2.0 * step)
     return grad
 
 

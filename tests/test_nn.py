@@ -32,6 +32,19 @@ def _projection_loss(layer, x, rng, **fwd):
     return r, loss
 
 
+class TestNumericGradient:
+    def test_nudges_a_transposed_view_in_place(self):
+        """d/dw sum(w * r) = r, also when w is a non-contiguous view: a conv
+        weight is the [out, in, kh, kw] view of its [kh, kw, in, out]
+        storage, and a nudge that landed in a copy would read as zero."""
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(3, 3, 2, 4)).transpose(3, 2, 0, 1)
+        assert not w.flags.c_contiguous
+        r = rng.normal(size=w.shape)
+        num = numeric_gradient(lambda: float((w * r).sum()), w, FD_STEP)
+        assert relative_error(num, r) < 1e-6
+
+
 class TestPadding:
     def test_same_padding_examples(self):
         assert nn.same_padding(257, 7, 2) == (3, 3, 129)
