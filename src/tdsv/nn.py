@@ -8,6 +8,11 @@ forward.  The trainable layers (Conv2D, Dense, BatchNorm) share one
 parameter protocol: ``params`` and ``grads`` by name, gradients accumulating
 until ``zero_grad``.  Layers do not check their outputs for non-finite
 values; ``Adam.step`` rejects a non-finite gradient by parameter name.
+
+A conv's ``weight`` reads as [out, in, kh, kw] but is stored as one
+C-contiguous [kh, kw, in, out] buffer, the order its im2col GEMM consumes;
+every reader and writer of ``weight`` (Adam, checkpoints) works on the view,
+so the checkpoint layout is unchanged.
 """
 
 from __future__ import annotations
@@ -70,19 +75,31 @@ class _Trainable:
         for k in self.NAMES:
             setattr(self, "grad_" + k, np.zeros_like(getattr(self, k)))
 
-    def _init_affine(self, shape, fan_in, bias_size, rng, dtype):
-        """He-normal weights (zeros for a skeleton when ``rng`` is None), zero bias."""
+    def _init_affine(self, shape, fan_in, bias_size, rng, dtype, storage=None):
+        """He-normal weights (zeros for a skeleton when ``rng`` is None), zero bias.
+
+        The weights are drawn in ``shape`` order and kept in one C-contiguous
+        buffer whose axes are ``shape``'s permuted by ``storage`` (identity
+        by default); ``weight`` is that buffer viewed in ``shape`` order."""
+        storage = storage or tuple(range(len(shape)))
         if rng is None:
-            weight = np.zeros(shape, dtype)
+            buffer = np.zeros([shape[a] for a in storage], dtype)
         else:
             weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        self.weight = weight.astype(dtype, copy=False)
+            buffer = weight.transpose(storage).astype(dtype, order="C", copy=False)
+        self.weight = buffer.transpose(np.argsort(storage))
         self.bias = np.zeros(bias_size, dtype=dtype)
         self._init_grads()
 
 
 class Conv2D(_Trainable):
-    """Strided cross-correlation; weights are [out_ch, in_ch, kh, kw]."""
+    """Strided cross-correlation; weights are [out_ch, in_ch, kh, kw].
+
+    ``weight`` is a view of one C-contiguous [kh, kw, in_ch, out_ch]
+    buffer, the GEMM operand's own order, so ``_weight_matrix`` is a free
+    reshape rather than a copy per pass.  ``grad_weight`` and Adam's moments
+    (``zeros_like``) share that layout, and a checkpoint stores ``weight``
+    in [out_ch, in_ch, kh, kw] order as before."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, *,
                  rng=None, dtype=np.float32):
@@ -91,7 +108,8 @@ class Conv2D(_Trainable):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self._init_affine((out_channels, in_channels, kh, kw),
-                          in_channels * kh * kw, out_channels, rng, dtype)
+                          in_channels * kh * kw, out_channels, rng, dtype,
+                          storage=(2, 3, 1, 0))
         self._cache = None
 
     def _im2col(self, xpad, out_h, out_w):
@@ -107,7 +125,8 @@ class Conv2D(_Trainable):
 
     def _weight_matrix(self):
         """The weights as the [kh*kw*in_ch, out_ch] GEMM operand, rows in the
-        (i, j, c) order of the im2col columns."""
+        (i, j, c) order of the im2col columns: a view of the storage, or a
+        copy when ``weight`` has been rebound to an array of another layout."""
         _, _, kh, kw = self.weight.shape
         return self.weight.transpose(2, 3, 1, 0).reshape(
             kh * kw * self.in_channels, self.out_channels)

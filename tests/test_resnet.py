@@ -467,6 +467,81 @@ class TestCheckpointErrors:
         assert str(saved) in message and f"{field} must be >= 1" in message
 
 
+class TestConvStorage:
+    """Each conv keeps its weights in the GEMM's [kh, kw, in, out] order, on
+    every way a network is made: the GEMM operand is that storage itself,
+    the gradient and Adam's moments share its layout, the checkpoint keeps
+    the [out, in, kh, kw] order, and forward reads the weights through
+    ``self.weight`` (the benchmark's self-check rebinds it)."""
+
+    DESK = replace(PRESETS["desk"], num_speakers=4)
+
+    @staticmethod
+    def convs(net):
+        return [(name, layer) for name, layer in net.layers()
+                if isinstance(layer, nn.Conv2D)]
+
+    @staticmethod
+    def in_storage_order(a):
+        """True if ``a`` [out, in, kh, kw] lies C-contiguous in [kh, kw, in,
+        out] order (compared by flag, not strides: the stem's in-channel
+        axis has extent 1, and numpy gives such an axis any stride)."""
+        return a.transpose(2, 3, 1, 0).flags.c_contiguous
+
+    @pytest.fixture(params=["seeded", "skeleton", "loaded"])
+    def net(self, request, tmp_path):
+        if request.param == "seeded":
+            return Network(self.DESK, seed=0)
+        if request.param == "skeleton":
+            net = Network(self.DESK, seed=None)
+            fill = np.random.default_rng(0)
+            for _, conv in self.convs(net):  # as load_network fills it
+                conv.weight[...] = fill.normal(size=conv.weight.shape)
+            return net
+        save_network(Network(self.DESK, seed=1), tmp_path / "saved")
+        return load_network(tmp_path / "saved")
+
+    def test_operand_is_the_storage(self, net):
+        for name, conv in self.convs(net):
+            wmat = conv._weight_matrix()
+            assert wmat.flags.c_contiguous, name
+            assert np.shares_memory(wmat, conv.weight), name
+            assert self.in_storage_order(conv.weight), name
+            assert self.in_storage_order(conv.grad_weight), name
+
+    def test_adam_step_moves_the_operand(self, net):
+        for name, conv in self.convs(net):
+            wmat = conv._weight_matrix()
+            before = wmat.copy()
+            conv.grad_weight[...] = 1.0
+            opt = nn.Adam(conv.params, lr=1e-3)
+            assert self.in_storage_order(opt.m["weight"]), name
+            assert self.in_storage_order(opt.v["weight"]), name
+            opt.step(conv.grads)
+            assert not np.array_equal(wmat, before), name
+
+    def test_checkpoint_layout_unchanged(self, net, tmp_path):
+        save_network(net, tmp_path / "m")
+        for name, conv in self.convs(net):
+            got = (tmp_path / "m" / f"{name}.weight.svt").read_bytes()
+            assert got == fileio.tensor_to_bytes(
+                np.ascontiguousarray(conv.weight)), name
+
+    def test_forward_reads_self_weight(self, net):
+        rng = np.random.default_rng(3)
+        for name, conv in self.convs(net):
+            if conv.weight.shape[2:] == (1, 1):
+                continue  # a 1x1 kernel is its own flip
+            x = rng.normal(size=(1, 9, 11, conv.in_channels)).astype(np.float32)
+            out = conv.forward(x)
+            w = conv.weight
+            conv.weight = w[:, :, ::-1, ::-1]
+            flipped = conv.forward(x)
+            conv.weight = w
+            assert not np.array_equal(flipped, out), name
+            assert np.array_equal(conv.forward(x), out), name
+
+
 class TestGoldenBytes:
     """Digests of a seeded desk network: a change to the He-normal draws, the
     order in which the layers draw them, or the checkpoint manifest layout
