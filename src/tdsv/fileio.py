@@ -137,13 +137,20 @@ def write_tensor_dir(path: str | Path, kind: str, version: int,
 
     Tensor files land first and the manifest is written (atomically) last, so
     a directory with a readable manifest is complete.  A tensor name holding
-    '/' could not name its file, and is a TensorFormatError before anything
-    is written.
+    '/' could not name its file, and one holding ' file=' or a line break
+    could not be read back from the manifest; either is a TensorFormatError
+    before anything is written.
     """
     for name in sorted(tensors):
         if "/" in name:
             raise TensorFormatError(
                 f"cannot write {kind} artifact: tensor name '{name}' contains '/'")
+        # read_manifest splits lines as str.splitlines does, then each
+        # tensor line at its first ' file='
+        if " file=" in name or "".join(name.splitlines()) != name:
+            raise TensorFormatError(
+                f"cannot write {kind} artifact: tensor name {name!r} contains "
+                "' file=' or a line break")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     index: dict[str, str] = {}
@@ -155,7 +162,14 @@ def write_tensor_dir(path: str | Path, kind: str, version: int,
 
 
 def read_tensor_dir(path: str | Path, kind: str, version: int) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Manifest fields and tensors of a directory artifact.  A tensor holding
+    a non-finite value is a TensorFormatError naming its file: no writer
+    saves one, and it would pass silently into every score it touches."""
     root = Path(path)
     fields, index = read_manifest(root / "manifest.txt", kind, version)
-    tensors = {name: read_tensor(root / fname) for name, fname in index.items()}
+    tensors = {}
+    for name, fname in index.items():
+        tensors[name] = read_tensor(root / fname)
+        if not np.isfinite(tensors[name]).all():
+            raise TensorFormatError(f"{root / fname}: non-finite value")
     return fields, tensors

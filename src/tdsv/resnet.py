@@ -257,5 +257,8 @@ def load_network(path) -> Network:
             raise TensorFormatError(
                 f"checkpoint tensor '{name}' has shape {tensors[name].shape}, "
                 f"expected {arr.shape}")
+        if name.endswith(".running_var") and (tensors[name] < 0).any():
+            raise TensorFormatError(
+                f"checkpoint {path} tensor '{name}' holds a negative variance")
         arr[...] = tensors[name]
     return net

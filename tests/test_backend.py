@@ -614,6 +614,17 @@ class TestPhraseGlue:
         assert "\n" not in str(exc.value)
         assert not (tmp_path / "backend").exists()
 
+    @pytest.mark.parametrize("phrase", ["a file=b", "a\nb"])
+    def test_save_rejects_phrase_id_the_manifest_cannot_read(
+            self, scored_setup, tmp_path, phrase):
+        _, backends, _, _ = scored_setup
+        renamed = {phrase: backends["p0"], "p1": backends["p1"]}
+        with pytest.raises(TensorFormatError,
+                           match="' file=' or a line break") as exc:
+            save_backends(tmp_path / "backend", renamed)
+        assert "\n" not in str(exc.value)
+        assert not (tmp_path / "backend").exists()
+
     def test_save_rejects_empty_backend(self, tmp_path):
         with pytest.raises(TensorFormatError, match="holds no phrases"):
             save_backends(tmp_path / "backend", {})

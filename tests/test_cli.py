@@ -239,6 +239,61 @@ class TestCliContracts:
                        "tensor file\n")
         assert not (tmp_path / "out" / "scores.tsv").exists()
 
+    @staticmethod
+    def _poke(tensor, index, value):
+        """Rewrite one value of a saved tensor in its own value type."""
+        from tdsv import fileio
+
+        arr = fileio.read_tensor(tensor)
+        arr[index] = value
+        fileio.write_tensor(tensor, arr, arr.dtype)
+
+    def _embed_fails(self, corpus, model, out, capsys):
+        rc = main(["--output-dir", str(out), "embed",
+                   "--corpus", str(corpus), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "embeddings.tsv").exists()
+        return err
+
+    def test_embed_non_finite_weight_names_its_file(self, pipeline, tmp_path,
+                                                    capsys):
+        corpus, run = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(run / "model", model)
+        tensor = model / "stem.conv.weight.svt"
+        self._poke(tensor, (0, 0, 3, 3), np.nan)
+        err = self._embed_fails(corpus, model, tmp_path / "out", capsys)
+        assert err == f"error: {tensor}: non-finite value\n"
+
+    def test_embed_negative_running_variance_names_it(self, pipeline, tmp_path,
+                                                      capsys):
+        corpus, run = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(run / "model", model)
+        self._poke(model / "block1.bn1.running_var.svt", 0, -0.5)
+        err = self._embed_fails(corpus, model, tmp_path / "out", capsys)
+        assert err == (f"error: checkpoint {model} tensor "
+                       "'block1.bn1.running_var' holds a negative variance\n")
+
+    @pytest.mark.parametrize("kind", ["wccn_matrix", "cohort"])
+    def test_backend_non_finite_tensor_names_its_file(self, pipeline, tmp_path,
+                                                      capsys, kind):
+        corpus, run = pipeline
+        backend = tmp_path / "backend"
+        shutil.copytree(run / "dev" / "backend", backend)
+        tensor = next(backend.glob(f"*.{kind}.svt"))
+        self._poke(tensor, (0, 0), np.nan)
+        rc = main(["--output-dir", str(tmp_path / "out"), "score",
+                   "--corpus", str(corpus),
+                   "--embeddings", str(run / "embeddings.tsv"),
+                   "--trials", str(corpus / "trials_eval.tsv"),
+                   "--backend", str(backend)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tensor}: non-finite value\n"
+        assert not (tmp_path / "out" / "scores.tsv").exists()
+
     def test_embed_rejects_8khz_corpus(self, pipeline, tmp_path, capsys):
         from tdsv.trials import CorpusEntry, write_corpus
 

@@ -132,6 +132,28 @@ def test_tensor_dir_rejects_slash_in_name(tmp_path):
     assert not (tmp_path / "art").exists()
 
 
+@pytest.mark.parametrize("name", ["a file=b.x", "a\nb.x", "a.x\r", "a\u2028b.x"])
+def test_tensor_dir_rejects_manifest_separators_in_name(tmp_path, name):
+    # the manifest reader splits lines with str.splitlines, then each tensor
+    # line at its first ' file=': such a name could not be read back
+    tensors = {"a.y": np.ones(2), name: np.ones(2)}
+    with pytest.raises(TensorFormatError, match="' file=' or a line break") as exc:
+        fileio.write_tensor_dir(tmp_path / "art", "svbackend", 4, {}, tensors,
+                                np.float64)
+    assert "\n" not in str(exc.value) and repr(name) in str(exc.value)
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tensor_dir_rejects_non_finite_tensor(tmp_path, bad, dtype):
+    tensors = {"a": np.ones(3), "b": np.array([[0.5, bad], [1.0, 2.0]])}
+    fileio.write_tensor_dir(tmp_path / "art", "svfusion", 2, {}, tensors, dtype)
+    with pytest.raises(TensorFormatError) as exc:
+        fileio.read_tensor_dir(tmp_path / "art", "svfusion", 2)
+    assert str(exc.value) == f"{tmp_path / 'art' / 'b.svt'}: non-finite value"
+
+
 def test_tensor_dir_float64_round_trip(tmp_path):
     tensors = {"w": np.array([1.0 / 3.0, -2.0 / 7.0])}
     fileio.write_tensor_dir(tmp_path / "art", "svfusion", 2, {}, tensors,

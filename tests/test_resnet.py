@@ -442,6 +442,25 @@ class TestCheckpointErrors:
             load_network(saved)
         assert f"'{name}' has shape {shape}, expected {want}" in str(exc.value)
 
+    def test_negative_running_variance(self, saved):
+        name = "block2.bn1.running_var"
+        var = np.ones(2, dtype=np.float32)
+        var[1] = -1e-3
+        self._rewrite(saved, replace_with={name: var})
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert str(exc.value) == (f"checkpoint {saved} tensor '{name}' holds "
+                                  "a negative variance")
+
+    def test_non_finite_parameter_names_its_file(self, saved):
+        weight = fileio.read_tensor(saved / "stem.conv.weight.svt")
+        weight[0, 0, 3, 3] = np.nan
+        fileio.write_tensor(saved / "stem.conv.weight.svt", weight)
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert str(exc.value) == (f"{saved / 'stem.conv.weight.svt'}: "
+                                  "non-finite value")
+
     def test_missing_field(self, saved):
         manifest = saved / "manifest.txt"
         manifest.write_text("".join(
