@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import (ConfigError, DegenerateError, InsufficientDataError,
                      NumericalError, TdsvError, TooShortError,
-                     TrialFormatError)
+                     TrialFormatError, UninitializedStatsError)
 
 
 def _int_at_least(minimum: int):
@@ -190,6 +190,12 @@ def cmd_embed(args) -> int:
     entries = sorted(read_corpus(corpus_dir / "corpus.tsv"),
                      key=lambda e: e.utterance_id)
     net = load_network(Path(args.model))
+    # a valid checkpoint of an untrained net; inference would fail only at
+    # its first batch norm, naming no file
+    if not all(bn.initialized for bn in net.batchnorms()):
+        raise UninitializedStatsError(
+            f"checkpoint {args.model} holds batch-norm statistics that no "
+            "training update has set (bn_initialized=0)")
     records = []
     for e in entries:
         spec = _fixed_spectrogram(corpus_dir / e.wav_path,

@@ -77,7 +77,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"zero extent in dims {dims}")
     count = int(np.prod(dims))
-    body = data[8 + 4 * rank:]
+    body = memoryview(data)[8 + 4 * rank:]  # a view; .copy() below is the one copy
     if len(body) != dtype.itemsize * count:
         raise TensorFormatError(f"payload holds {len(body) // dtype.itemsize} "
                                 f"{dtype.name} values, header promises {count}")

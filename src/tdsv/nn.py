@@ -12,7 +12,10 @@ values; ``Adam.step`` rejects a non-finite gradient by parameter name.
 A conv's ``weight`` reads as [out, in, kh, kw] but is stored as one
 C-contiguous [kh, kw, in, out] buffer, the order its im2col GEMM consumes;
 every reader and writer of ``weight`` (Adam, checkpoints) works on the view,
-so the checkpoint layout is unchanged.
+so the checkpoint layout is unchanged.  Gradient buffers and Adam's moments
+come from ``_zeros_like``, in their parameter's layout, and stay unwritten
+zero pages until training writes them, so a network built or loaded for
+inference holds no resident training state.
 """
 
 from __future__ import annotations
@@ -47,6 +50,24 @@ def _colsum(a):
     return np.ones(rows.shape[0], a.dtype) @ rows
 
 
+def _zeros(shape, dtype, storage=None):
+    """Zeros of ``shape`` and ``dtype``, viewed in ``shape`` order but held in
+    one C-contiguous buffer whose axes are ``shape``'s permuted by
+    ``storage`` (identity by default).
+
+    The buffer comes from ``np.zeros``, whose pages stay unmapped until
+    first written, where ``np.zeros_like`` writes every byte."""
+    storage = range(len(shape)) if storage is None else storage
+    return np.zeros([shape[a] for a in storage], dtype).transpose(np.argsort(storage))
+
+
+def _zeros_like(a):
+    """``_zeros`` shaped, typed and laid out like ``a``: its axes stored in
+    the order of ``a``'s falling strides."""
+    return _zeros(a.shape, a.dtype,
+                  np.argsort([-abs(s) for s in a.strides], kind="stable"))
+
+
 def _window_slices(kh, kw, sh, sw, out_h, out_w):
     for i in range(kh):
         for j in range(kw):
@@ -73,7 +94,7 @@ class _Trainable:
 
     def _init_grads(self):
         for k in self.NAMES:
-            setattr(self, "grad_" + k, np.zeros_like(getattr(self, k)))
+            setattr(self, "grad_" + k, _zeros_like(getattr(self, k)))
 
     def _init_affine(self, shape, fan_in, bias_size, rng, dtype, storage=None):
         """He-normal weights (zeros for a skeleton when ``rng`` is None), zero bias.
@@ -81,13 +102,13 @@ class _Trainable:
         The weights are drawn in ``shape`` order and kept in one C-contiguous
         buffer whose axes are ``shape``'s permuted by ``storage`` (identity
         by default); ``weight`` is that buffer viewed in ``shape`` order."""
-        storage = storage or tuple(range(len(shape)))
         if rng is None:
-            buffer = np.zeros([shape[a] for a in storage], dtype)
+            self.weight = _zeros(shape, dtype, storage)
         else:
+            storage = storage or tuple(range(len(shape)))
             weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
             buffer = weight.transpose(storage).astype(dtype, order="C", copy=False)
-        self.weight = buffer.transpose(np.argsort(storage))
+            self.weight = buffer.transpose(np.argsort(storage))
         self.bias = np.zeros(bias_size, dtype=dtype)
         self._init_grads()
 
@@ -98,7 +119,7 @@ class Conv2D(_Trainable):
     ``weight`` is a view of one C-contiguous [kh, kw, in_ch, out_ch]
     buffer, the GEMM operand's own order, so ``_weight_matrix`` is a free
     reshape rather than a copy per pass.  ``grad_weight`` and Adam's moments
-    (``zeros_like``) share that layout, and a checkpoint stores ``weight``
+    (``_zeros_like``) share that layout, and a checkpoint stores ``weight``
     in [out_ch, in_ch, kh, kw] order as before."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, *,
@@ -383,8 +404,8 @@ class Adam:
         self.params = params
         self.lr = lr
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = {k: _zeros_like(v) for k, v in params.items()}
+        self.v = {k: _zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1

@@ -277,6 +277,23 @@ class TestCliContracts:
         assert err == (f"error: checkpoint {model} tensor "
                        "'block1.bn1.running_var' holds a negative variance\n")
 
+    def test_embed_untrained_statistics_name_the_checkpoint(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        from tdsv import features
+
+        corpus, run = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(run / "model", model)
+        manifest = model / "manifest.txt"
+        text = manifest.read_text()
+        assert "bn_initialized=1\n" in text
+        manifest.write_text(text.replace("bn_initialized=1\n", "bn_initialized=0\n"))
+        monkeypatch.setattr(features, "read_wav",
+                            lambda path: pytest.fail(f"embed read {path}"))
+        err = self._embed_fails(corpus, model, tmp_path / "out", capsys)
+        assert err == (f"error: checkpoint {model} holds batch-norm statistics "
+                       "that no training update has set (bn_initialized=0)\n")
+
     @pytest.mark.parametrize("kind", ["wccn_matrix", "cohort"])
     def test_backend_non_finite_tensor_names_its_file(self, pipeline, tmp_path,
                                                       capsys, kind):

@@ -54,6 +54,18 @@ def test_float64_bytes_round_trip(arr):
     assert back.dtype == np.float64 and np.array_equal(back, arr)
 
 
+def test_tensor_from_bytes_owns_a_writable_copy():
+    # layers write loaded tensors in place, and the array must not pin the
+    # file's bytes
+    data = fileio.tensor_to_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+    arr = fileio.tensor_from_bytes(data)
+    assert arr.flags.owndata and arr.base is None
+    assert arr.flags.writeable
+    arr[0, 0] = 7.0
+    assert np.array_equal(fileio.tensor_from_bytes(data),
+                          np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
 def test_float32_is_the_default():
     arr = np.array([0.1, 0.2])
     assert (fileio.tensor_to_bytes(arr)

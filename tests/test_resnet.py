@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -484,6 +485,25 @@ class TestCheckpointErrors:
         message = str(exc.value)
         assert "\n" not in message
         assert str(saved) in message and f"{field} must be >= 1" in message
+
+
+def _resident_mb():
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("no /proc/self/statm to read resident memory from")
+    return int(statm.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+class TestResidency:
+    def test_skeleton_holds_no_resident_training_state(self):
+        """A seedless `full` net (what load_network fills) leaves its 11.2 M
+        zero weights and as many zero gradients on unwritten pages: about
+        1.7 MB of growth, where writing the gradients costs about 44 MB."""
+        before = _resident_mb()
+        net = Network(replace(PRESETS["full"], num_speakers=97), seed=None)
+        grown = _resident_mb() - before
+        assert grown < 8.0, f"building the skeleton grew RSS by {grown:.1f} MB"
+        assert not net.stem_conv.grad_weight.any()
 
 
 class TestConvStorage:
