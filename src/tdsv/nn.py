@@ -50,14 +50,13 @@ def _colsum(a):
     return np.ones(rows.shape[0], a.dtype) @ rows
 
 
-def _zeros(shape, dtype, storage=None):
+def _zeros(shape, dtype, storage):
     """Zeros of ``shape`` and ``dtype``, viewed in ``shape`` order but held in
     one C-contiguous buffer whose axes are ``shape``'s permuted by
-    ``storage`` (identity by default).
+    ``storage``.
 
     The buffer comes from ``np.zeros``, whose pages stay unmapped until
     first written, where ``np.zeros_like`` writes every byte."""
-    storage = range(len(shape)) if storage is None else storage
     return np.zeros([shape[a] for a in storage], dtype).transpose(np.argsort(storage))
 
 
@@ -102,10 +101,10 @@ class _Trainable:
         The weights are drawn in ``shape`` order and kept in one C-contiguous
         buffer whose axes are ``shape``'s permuted by ``storage`` (identity
         by default); ``weight`` is that buffer viewed in ``shape`` order."""
+        storage = storage or tuple(range(len(shape)))
         if rng is None:
             self.weight = _zeros(shape, dtype, storage)
         else:
-            storage = storage or tuple(range(len(shape)))
             weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
             buffer = weight.transpose(storage).astype(dtype, order="C", copy=False)
             self.weight = buffer.transpose(np.argsort(storage))
