@@ -496,14 +496,17 @@ def _resident_mb():
 
 class TestResidency:
     def test_skeleton_holds_no_resident_training_state(self):
-        """A seedless `full` net (what load_network fills) leaves its 11.2 M
-        zero weights and as many zero gradients on unwritten pages: about
-        1.7 MB of growth, where writing the gradients costs about 44 MB."""
+        """A seedless `full` net (what load_network fills) and an optimizer
+        over it leave the 11.2 M zero weights, gradients and Adam moments
+        on unwritten pages: under 4 MB of growth, where writing the
+        gradients alone costs about 44 MB."""
         before = _resident_mb()
         net = Network(replace(PRESETS["full"], num_speakers=97), seed=None)
+        adam = nn.Adam(net.named_parameters())
         grown = _resident_mb() - before
         assert grown < 8.0, f"building the skeleton grew RSS by {grown:.1f} MB"
         assert not net.stem_conv.grad_weight.any()
+        assert not adam.m["stem.conv.weight"].any()
 
 
 class TestConvStorage:
