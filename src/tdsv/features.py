@@ -12,6 +12,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioFormatError, TooShortError, UnsupportedAudioError
 
@@ -75,13 +76,6 @@ def frame_count(num_samples: int) -> int:
     return (num_samples - WINDOW_LEN) // FRAME_STEP + 1
 
 
-def _frame_signal(samples: np.ndarray) -> np.ndarray:
-    t = frame_count(len(samples))
-    offsets = np.arange(t) * FRAME_STEP
-    idx = offsets[:, None] + np.arange(WINDOW_LEN)[None, :]
-    return samples[idx]
-
-
 def compute_spectrogram(samples: np.ndarray) -> Spectrogram:
     """Windowed log-power spectrum, standardized to zero mean / unit variance.
 
@@ -90,11 +84,11 @@ def compute_spectrogram(samples: np.ndarray) -> Spectrogram:
     by a real DFT.  Cell values are log(|X|^2 + LOG_FLOOR), then the whole
     image is standardized over all cells.
     """
-    if len(samples) < WINDOW_LEN:
+    if frame_count(len(samples)) == 0:
         raise TooShortError(
             f"signal of {len(samples)} samples is shorter than one "
             f"{WINDOW_LEN}-sample analysis window")
-    frames = _frame_signal(samples)
+    frames = sliding_window_view(samples, WINDOW_LEN)[::FRAME_STEP]
     windowed = frames * np.blackman(WINDOW_LEN)
     mags = np.abs(np.fft.rfft(windowed, n=FFT_LEN, axis=1))
     logpow = np.log(mags ** 2 + LOG_FLOOR).T  # [bins, frames]

@@ -12,6 +12,7 @@ leaves a partially written artifact behind.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -76,7 +77,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     dims = struct.unpack_from(f"<{rank}I", data, 8)
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"zero extent in dims {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # a Python int: np.prod's int64 wraps
     body = memoryview(data)[8 + 4 * rank:]  # a view; .copy() below is the one copy
     if len(body) != dtype.itemsize * count:
         raise TensorFormatError(f"payload holds {len(body) // dtype.itemsize} "
@@ -121,7 +122,7 @@ def read_manifest(path: str | Path, kind: str, version: int) -> tuple[dict[str, 
         key, value = ln.split("=", 1)
         if key == "tensor":
             name, _, fpart = value.partition(" file=")
-            if not fpart:
+            if fpart != f"{name}.svt" or "/" in name:  # the writer's own form
                 raise TensorFormatError(f"bad tensor line in {path}: '{ln}'")
             tensors[name] = fpart
         else:

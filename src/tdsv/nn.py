@@ -9,13 +9,14 @@ parameter protocol: ``params`` and ``grads`` by name, gradients accumulating
 until ``zero_grad``.  Layers do not check their outputs for non-finite
 values; ``Adam.step`` rejects a non-finite gradient by parameter name.
 
-A conv's ``weight`` reads as [out, in, kh, kw] but is stored as one
-C-contiguous [kh, kw, in, out] buffer, the order its im2col GEMM consumes;
-every reader and writer of ``weight`` (Adam, checkpoints) works on the view,
-so the checkpoint layout is unchanged.  Gradient buffers and Adam's moments
-come from ``_zeros_like``, in their parameter's layout, and stay unwritten
-zero pages until training writes them, so a network built or loaded for
-inference holds no resident training state.
+Each trainable layer states its weight layout once, where its constructor
+allocates the weights: a conv's ``weight`` reads as [out, in, kh, kw] but is
+one C-contiguous [kh, kw, in, out] buffer, the order its im2col GEMM
+consumes; every reader and writer of ``weight`` (Adam, checkpoints) works on
+the view, so the checkpoint layout is unchanged.  Gradient buffers and
+Adam's moments come from ``_zeros_like``, in their parameter's layout, and
+stay unwritten zero pages until training writes them, so a network built or
+loaded for inference holds no resident training state.
 """
 
 from __future__ import annotations
@@ -50,21 +51,14 @@ def _colsum(a):
     return np.ones(rows.shape[0], a.dtype) @ rows
 
 
-def _zeros(shape, dtype, storage):
-    """Zeros of ``shape`` and ``dtype``, viewed in ``shape`` order but held in
-    one C-contiguous buffer whose axes are ``shape``'s permuted by
-    ``storage``.
+def _zeros_like(a):
+    """Zeros shaped, typed and laid out like ``a``: one C-contiguous buffer
+    whose axes are ``a``'s in the order of its falling strides.
 
     The buffer comes from ``np.zeros``, whose pages stay unmapped until
     first written, where ``np.zeros_like`` writes every byte."""
-    return np.zeros([shape[a] for a in storage], dtype).transpose(np.argsort(storage))
-
-
-def _zeros_like(a):
-    """``_zeros`` shaped, typed and laid out like ``a``: its axes stored in
-    the order of ``a``'s falling strides."""
-    return _zeros(a.shape, a.dtype,
-                  np.argsort([-abs(s) for s in a.strides], kind="stable"))
+    storage = np.argsort([-abs(s) for s in a.strides], kind="stable")
+    return np.zeros([a.shape[i] for i in storage], a.dtype).transpose(np.argsort(storage))
 
 
 def _window_slices(kh, kw, sh, sw, out_h, out_w):
@@ -95,20 +89,17 @@ class _Trainable:
         for k in self.NAMES:
             setattr(self, "grad_" + k, _zeros_like(getattr(self, k)))
 
-    def _init_affine(self, shape, fan_in, bias_size, rng, dtype, storage=None):
-        """He-normal weights (zeros for a skeleton when ``rng`` is None), zero bias.
+    def _init_affine(self, weight, fan_in, bias_size, rng):
+        """He-normal weights written into ``weight``, zero bias.
 
-        The weights are drawn in ``shape`` order and kept in one C-contiguous
-        buffer whose axes are ``shape``'s permuted by ``storage`` (identity
-        by default); ``weight`` is that buffer viewed in ``shape`` order."""
-        storage = storage or tuple(range(len(shape)))
-        if rng is None:
-            self.weight = _zeros(shape, dtype, storage)
-        else:
-            weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-            buffer = weight.transpose(storage).astype(dtype, order="C", copy=False)
-            self.weight = buffer.transpose(np.argsort(storage))
-        self.bias = np.zeros(bias_size, dtype=dtype)
+        ``weight`` is the layer's zero array, allocated by its constructor in
+        the layout the layer keeps; the draw is made in ``weight``'s shape
+        order whatever that layout.  With ``rng`` None the array stays zero,
+        on untouched pages, as a skeleton for loaded parameters."""
+        if rng is not None:
+            weight[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=weight.shape)
+        self.weight = weight
+        self.bias = np.zeros(bias_size, dtype=weight.dtype)
         self._init_grads()
 
 
@@ -116,10 +107,11 @@ class Conv2D(_Trainable):
     """Strided cross-correlation; weights are [out_ch, in_ch, kh, kw].
 
     ``weight`` is a view of one C-contiguous [kh, kw, in_ch, out_ch]
-    buffer, the GEMM operand's own order, so ``_weight_matrix`` is a free
-    reshape rather than a copy per pass.  ``grad_weight`` and Adam's moments
-    (``_zeros_like``) share that layout, and a checkpoint stores ``weight``
-    in [out_ch, in_ch, kh, kw] order as before."""
+    buffer, which the constructor allocates in the GEMM operand's own order,
+    so ``_weight_matrix`` is a free reshape rather than a copy per pass.
+    ``grad_weight`` and Adam's moments (``_zeros_like``) share that layout,
+    and a checkpoint stores ``weight`` in [out_ch, in_ch, kh, kw] order as
+    before."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, *,
                  rng=None, dtype=np.float32):
@@ -127,9 +119,9 @@ class Conv2D(_Trainable):
         self.stride = _pair(stride)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self._init_affine((out_channels, in_channels, kh, kw),
-                          in_channels * kh * kw, out_channels, rng, dtype,
-                          storage=(2, 3, 1, 0))
+        weight = np.zeros((kh, kw, in_channels, out_channels), dtype)
+        self._init_affine(weight.transpose(3, 2, 0, 1), in_channels * kh * kw,
+                          out_channels, rng)
         self._cache = None
 
     def _im2col(self, xpad, out_h, out_w):
@@ -356,8 +348,8 @@ class Dense(_Trainable):
     """Affine map on flat features; weights are [in_features, out_features]."""
 
     def __init__(self, in_features, out_features, *, rng=None, dtype=np.float32):
-        self._init_affine((in_features, out_features), in_features,
-                          out_features, rng, dtype)
+        self._init_affine(np.zeros((in_features, out_features), dtype),
+                          in_features, out_features, rng)
         self._x = None
 
     def forward(self, x, train=False):

@@ -1,5 +1,7 @@
 """Tensor container and manifest round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,8 @@ def test_other_dtypes_rejected():
     lambda d: d[:-2],                   # truncated payload
     lambda d: d + b"\0\0\0\0",          # trailing bytes
     lambda d: d[:4],                    # header only
+    # rank 4, four extents of 65536: 2**64 values, which wraps to 0 in int64
+    lambda d: b"SVT1" + struct.pack("<5I", 4, *[65536] * 4),
 ])
 def test_tensor_rejects_malformed(mangle):
     data = fileio.tensor_to_bytes(np.ones((2, 2), dtype=np.float32))
@@ -122,6 +126,25 @@ def test_manifest_rejects_wrong_kind_or_version(tmp_path):
         fileio.read_manifest(path, "svbackend", 1)
     with pytest.raises(TensorFormatError):
         fileio.read_manifest(path, "svnet", 2)
+
+
+@pytest.mark.parametrize("entry", [
+    "weights file=../outside.svt", "../outside file=../outside.svt",
+    "weights file={outside}", "weights file=other.svt"])
+def test_manifest_entry_must_name_its_own_file(tmp_path, entry):
+    # an entry names <tensor>.svt in the artifact's own directory, the only
+    # form write_tensor_dir writes; anything else could read another file
+    fileio.write_tensor(tmp_path / "outside.svt", np.ones(2), np.float64)
+    fileio.write_tensor_dir(tmp_path / "art", "svfusion", 2, {},
+                            {"weights": np.ones(2), "other": np.ones(2)},
+                            np.float64)
+    manifest = tmp_path / "art" / "manifest.txt"
+    bad = "tensor=" + entry.format(outside=tmp_path / "outside.svt")
+    manifest.write_text(manifest.read_text().replace(
+        "tensor=weights file=weights.svt", bad))
+    with pytest.raises(TensorFormatError) as exc:
+        fileio.read_tensor_dir(tmp_path / "art", "svfusion", 2)
+    assert str(exc.value) == f"bad tensor line in {manifest}: '{bad}'"
 
 
 def test_tensor_dir_round_trip(tmp_path):

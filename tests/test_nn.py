@@ -132,6 +132,36 @@ class TestConv2D:
         assert np.all(conv.grad_weight == 0)
 
 
+class TestHeInit:
+    """A seeded trainable layer holds exactly the He-normal draw
+    N(0, 2 / fan_in) made in its weight's shape order, whatever layout it
+    keeps; a seedless one holds zeros in that same layout."""
+
+    LAYERS = {  # name: (constructor, weight shape, fan_in)
+        "conv3x3/1": (lambda **kw: nn.Conv2D(3, 5, 3, 1, **kw), (5, 3, 3, 3), 27),
+        "conv3x3/2": (lambda **kw: nn.Conv2D(3, 5, 3, 2, **kw), (5, 3, 3, 3), 27),
+        "conv1x1/1": (lambda **kw: nn.Conv2D(4, 6, 1, 1, **kw), (6, 4, 1, 1), 4),
+        "conv1x1/2": (lambda **kw: nn.Conv2D(4, 6, 1, 2, **kw), (6, 4, 1, 1), 4),
+        "dense": (lambda **kw: nn.Dense(7, 3, **kw), (7, 3), 7),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_seeded_draw_and_zero_skeleton(self, layer, dtype):
+        make, shape, fan_in = self.LAYERS[layer]
+        seeded = make(rng=np.random.default_rng(11), dtype=dtype)
+        want = np.random.default_rng(11).normal(0.0, np.sqrt(2.0 / fan_in),
+                                                size=shape).astype(dtype)
+        assert seeded.weight.dtype == dtype and seeded.bias.dtype == dtype
+        assert np.array_equal(seeded.weight, want)
+        assert not seeded.bias.any()
+        assert not any(g.any() for g in seeded.grads.values())
+        skeleton = make(rng=None, dtype=dtype)
+        assert skeleton.weight.dtype == dtype and skeleton.weight.shape == shape
+        assert not skeleton.weight.any() and not skeleton.bias.any()
+        assert skeleton.weight.strides == seeded.weight.strides
+
+
 class TestBatchNorm:
     def test_constant_input_maps_to_beta(self):
         bn = nn.BatchNorm(2, dtype=np.float64)
