@@ -421,6 +421,8 @@ def load_fusion(path) -> FusionModel:
     try:
         weights = tensors["weights"]
         bias = float(fields["bias"])
+        if not math.isfinite(bias):  # float() parses nan and inf
+            raise ValueError(f"bias={fields['bias']} is not finite")
         num_systems = int(fields["num_systems"])
     except (KeyError, ValueError) as exc:
         raise TensorFormatError(

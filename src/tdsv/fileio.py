@@ -120,13 +120,15 @@ def read_manifest(path: str | Path, kind: str, version: int) -> tuple[dict[str, 
         if "=" not in ln:
             raise TensorFormatError(f"bad manifest line in {path}: '{ln}'")
         key, value = ln.split("=", 1)
+        entries, label = fields, "key"
         if key == "tensor":
-            name, _, fpart = value.partition(" file=")
-            if fpart != f"{name}.svt" or "/" in name:  # the writer's own form
+            key, _, value = value.partition(" file=")
+            if value != f"{key}.svt" or "/" in key:  # the writer's own form
                 raise TensorFormatError(f"bad tensor line in {path}: '{ln}'")
-            tensors[name] = fpart
-        else:
-            fields[key] = value
+            entries, label = tensors, "tensor"
+        if key in entries:  # written once each; a repeat is ambiguous
+            raise TensorFormatError(f"duplicate {label} '{key}' in {path}")
+        entries[key] = value
     return fields, tensors
 
 

@@ -1,10 +1,11 @@
 """Minimal NHWC layer library with hand-written backward passes, plus Adam.
 
 Tensors are plain numpy arrays, images are [batch, height, width, channels].
-Convolutions use "same"-style padding: the output spatial extent is
-ceil(input / stride), with the extra padding cell (odd totals) going to the
-bottom/right edge.  Each layer caches what its backward pass needs during
-forward.  The trainable layers (Conv2D, Dense, BatchNorm) share one
+Convolutions and max-pooling use "same"-style padding: the output spatial
+extent is ceil(input / stride), with the extra padding cell (odd totals)
+going to the bottom/right edge.  Both layers pad, walk their windows and
+crop their input gradient through ``_pad_same``, the one home of that
+geometry.  The trainable layers (Conv2D, Dense, BatchNorm) share one
 parameter protocol: ``params`` and ``grads`` by name, gradients accumulating
 until ``zero_grad``.  Layers do not check their outputs for non-finite
 values; ``Adam.step`` rejects a non-finite gradient by parameter name.
@@ -61,10 +62,20 @@ def _zeros_like(a):
     return np.zeros([a.shape[i] for i in storage], a.dtype).transpose(np.argsort(storage))
 
 
-def _window_slices(kh, kw, sh, sw, out_h, out_w):
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, (slice(i, i + sh * out_h, sh), slice(j, j + sw * out_w, sw))
+def _pad_same(x, kernel, stride, fill=0):
+    """(xpad, crop, taps) of a "same"-padded window walk over NHWC ``x``.
+
+    ``xpad`` is ``x`` padded by ``same_padding`` with ``fill``; ``crop``
+    indexes a padded-shape array back to ``x``'s cells; ``taps`` lists each
+    kernel cell's index ``i*kw + j`` with its strided window of ``xpad``
+    ([N, out_h, out_w, C]), in row-major scan order."""
+    (_, h, w, _), (kh, kw), (sh, sw) = x.shape, kernel, stride
+    (pt, pb, out_h), (pl, pr, out_w) = map(same_padding, (h, w), kernel, stride)
+    xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=fill)
+    taps = [(i * kw + j, (slice(None), slice(i, i + sh * out_h, sh),
+                          slice(j, j + sw * out_w, sw)))
+            for i in range(kh) for j in range(kw)]
+    return xpad, (slice(None), slice(pt, pt + h), slice(pl, pl + w)), taps
 
 
 class _Trainable:
@@ -124,16 +135,14 @@ class Conv2D(_Trainable):
                           out_channels, rng)
         self._cache = None
 
-    def _im2col(self, xpad, out_h, out_w):
+    def _im2col(self, xpad, taps):
         """[N*out_h*out_w, kh*kw*C] patch rows, columns in (i, j, c) order:
-        one copy out of a strided window view."""
-        n, _, _, c = xpad.shape
+        one copy out of a strided window view, on the output grid of tap
+        (0, 0)'s window."""
         _, _, kh, kw = self.weight.shape
-        sh, sw = self.stride
-        windows = sliding_window_view(xpad, (kh, kw), axis=(1, 2))
-        windows = windows[:, :sh * out_h:sh, :sw * out_w:sw]
+        windows = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[taps[0][1]]
         cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        return cols.reshape(n * out_h * out_w, kh * kw * c)
+        return cols.reshape(-1, kh * kw * xpad.shape[3])
 
     def _weight_matrix(self):
         """The weights as the [kh*kw*in_ch, out_ch] GEMM operand, rows in the
@@ -147,33 +156,25 @@ class Conv2D(_Trainable):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise DimensionError(
                 f"conv expects [N,H,W,{self.in_channels}], got {x.shape}")
-        n, h, w, _ = x.shape
-        _, _, kh, kw = self.weight.shape
-        sh, sw = self.stride
-        pt, pb, out_h = same_padding(h, kh, sh)
-        pl, pr, out_w = same_padding(w, kw, sw)
-        xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        cols = self._im2col(xpad, out_h, out_w)
-        out = cols @ self._weight_matrix()
+        xpad, crop, taps = _pad_same(x, self.weight.shape[2:], self.stride)
+        out = self._im2col(xpad, taps) @ self._weight_matrix()
         out += self.bias
-        self._cache = (xpad, (n, h, w), (pt, pl), (out_h, out_w))
-        return out.reshape(n, out_h, out_w, self.out_channels)
+        self._cache = (xpad, crop, taps)
+        return out.reshape(*xpad[taps[0][1]].shape[:3], self.out_channels)
 
     def _param_backward(self, grad_out):
         """Accumulate the bias and weight gradients; return grad_out as
         [N*out_h*out_w, out_ch] rows.  The columns are rebuilt from the cached
         padded input rather than kept from forward, which would hold every
         conv's columns until its backward pass."""
-        xpad, (n, _, _), _, (out_h, out_w) = self._cache
-        if grad_out.shape != (n, out_h, out_w, self.out_channels):
-            raise DimensionError(
-                f"conv backward expects {(n, out_h, out_w, self.out_channels)}, "
-                f"got {grad_out.shape}")
+        xpad, _, taps = self._cache
+        want = xpad[taps[0][1]].shape[:3] + (self.out_channels,)
+        if grad_out.shape != want:
+            raise DimensionError(f"conv backward expects {want}, got {grad_out.shape}")
         _, _, kh, kw = self.weight.shape
-        g2 = grad_out.reshape(n * out_h * out_w, self.out_channels)
+        g2 = grad_out.reshape(-1, self.out_channels)
         self.grad_bias += _colsum(g2)
-        cols = self._im2col(xpad, out_h, out_w)
-        gw = cols.T @ g2  # [kh*kw*cin, cout]
+        gw = self._im2col(xpad, taps).T @ g2  # [kh*kw*cin, cout]
         self.grad_weight += gw.reshape(kh, kw, self.in_channels,
                                        self.out_channels).transpose(3, 2, 0, 1)
         return g2
@@ -186,18 +187,15 @@ class Conv2D(_Trainable):
         tap's strided window of the padded input gradient in scan order.
         Every tap reuses one buffer, so no [rows, kh*kw*cin] array is held."""
         g2 = self._param_backward(grad_out)
-        xpad, (n, h, w), (pt, pl), (out_h, out_w) = self._cache
-        _, _, kh, kw = self.weight.shape
-        sh, sw = self.stride
+        xpad, crop, taps = self._cache
         cin = self.in_channels
         wmat = self._weight_matrix()
-        tap = np.empty((n, out_h, out_w, cin), dtype=g2.dtype)
+        tap = np.empty(grad_out.shape[:3] + (cin,), dtype=g2.dtype)
         gxpad = np.zeros_like(xpad)
-        for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
-            k = (i * kw + j) * cin  # the tap's rows of wmat, (i, j, c) order
-            np.matmul(g2, wmat[k:k + cin].T, out=tap.reshape(-1, cin))
-            gxpad[:, sl[0], sl[1], :] += tap
-        return gxpad[:, pt:pt + h, pl:pl + w, :]
+        for k, window in taps:  # tap k's rows of wmat, (i, j, c) order
+            np.matmul(g2, wmat[k * cin:(k + 1) * cin].T, out=tap.reshape(-1, cin))
+            gxpad[window] += tap
+        return gxpad[crop]
 
 
 class BatchNorm(_Trainable):
@@ -293,36 +291,27 @@ class MaxPool:
         self.stride = _pair(stride)
 
     def forward(self, x, train=False):
-        n, h, w, c = x.shape
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        pt, pb, out_h = same_padding(h, kh, sh)
-        pl, pr, out_w = same_padding(w, kw, sw)
-        xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                      constant_values=-np.inf)
-        cells = [xpad[:, sl[0], sl[1], :]
-                 for _, _, sl in _window_slices(kh, kw, sh, sw, out_h, out_w)]
+        xpad, crop, taps = _pad_same(x, self.kernel, self.stride, -np.inf)
         # running maximum over the cells in scan order; argmax (the cell index
         # i*kw + j) moves only on a strict rise, so ties keep the first cell
-        out = cells[0].copy()
-        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(kh * kw - 1))
+        (_, first), *rest = taps
+        out = xpad[first].copy()
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
         rises = np.empty(out.shape, dtype=bool)
-        for k, cell in enumerate(cells[1:], start=1):
-            np.greater(cell, out, out=rises)
-            np.maximum(out, cell, out=out)
+        for k, window in rest:
+            np.greater(xpad[window], out, out=rises)
+            np.maximum(out, xpad[window], out=out)
             # indices only grow along the scan, so a max records the rise
             np.maximum(argmax, rises.view(np.uint8) * argmax.dtype.type(k), out=argmax)
-        self._cache = (argmax, xpad.shape, (h, w), (pt, pl), (out_h, out_w))
+        self._cache = (argmax, xpad.shape, crop, taps)
         return out
 
     def backward(self, grad_out):
-        argmax, pad_shape, (h, w), (pt, pl), (out_h, out_w) = self._cache
-        kh, kw = self.kernel
-        sh, sw = self.stride
+        argmax, pad_shape, crop, taps = self._cache
         gxpad = np.zeros(pad_shape, dtype=grad_out.dtype)
-        for i, j, sl in _window_slices(kh, kw, sh, sw, out_h, out_w):
-            gxpad[:, sl[0], sl[1], :] += grad_out * (argmax == i * kw + j)
-        return gxpad[:, pt:pt + h, pl:pl + w, :]
+        for k, window in taps:
+            gxpad[window] += grad_out * (argmax == k)
+        return gxpad[crop]
 
 
 class GlobalAvgPool:

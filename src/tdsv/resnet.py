@@ -233,22 +233,31 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    """Rebuild a saved network.  The skeleton draws no random numbers; every
-    tensor it holds must be in the checkpoint with its exact shape."""
+    """Rebuild a saved network.  The skeleton draws no random numbers; the
+    checkpoint must hold exactly the tensors it holds, each with its exact
+    shape, and ``bn_initialized`` must be 0 or 1."""
     entries, tensors = fileio.read_tensor_dir(path, "svnet", 1)
     try:
         config = NetworkConfig(**{
             f.name: (tuple(int(v) for v in entries[f.name].split(","))
                      if isinstance(f.default, tuple) else int(entries[f.name]))
             for f in fields(NetworkConfig)})
+        initialized = entries["bn_initialized"]
+        if initialized not in ("0", "1"):
+            raise ValueError(f"bn_initialized={initialized} is not 0 or 1")
     except (KeyError, ValueError, DimensionError) as exc:
         raise TensorFormatError(
             f"checkpoint {path} has a missing or bad field: {exc}") from None
     net = Network(config, seed=None)
-    initialized = entries.get("bn_initialized") == "1"
     for bn in net.batchnorms():
-        bn.initialized = initialized
-    for name, arr in _checkpoint_tensors(net).items():
+        bn.initialized = initialized == "1"
+    expected = _checkpoint_tensors(net)
+    undefined = sorted(tensors.keys() - expected.keys())
+    if undefined:
+        raise TensorFormatError(
+            f"checkpoint {path} holds tensor '{undefined[0]}', which its "
+            "config does not define")
+    for name, arr in expected.items():
         if name not in tensors:
             raise TensorFormatError(
                 f"checkpoint {path} has no tensor '{name}' (expected shape "

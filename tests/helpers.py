@@ -223,8 +223,10 @@ def fold_conv_input_grad(conv, grad_out):
     """A conv's input gradient from one [rows, kh*kw*cin] product of
     grad_out with the transposed weight matrix, whose (i, j) column blocks
     are folded into the padded gradient in window scan order.  Reads the
-    shapes from ``conv``'s forward cache and changes nothing in it."""
-    xpad, (n, h, w), (pt, pl), (out_h, out_w) = conv._cache
+    padded input and its crop from ``conv``'s forward cache and changes
+    nothing in it."""
+    xpad, crop, _ = conv._cache
+    n, out_h, out_w, _ = grad_out.shape
     _, cin, kh, kw = conv.weight.shape
     sh, sw = conv.stride
     g2 = grad_out.reshape(n * out_h * out_w, -1)
@@ -233,7 +235,7 @@ def fold_conv_input_grad(conv, grad_out):
     for i in range(kh):
         for j in range(kw):
             gxpad[:, i:i + sh * out_h:sh, j:j + sw * out_w:sw, :] += gcols[:, :, :, i, j, :]
-    return gxpad[:, pt:pt + h, pl:pl + w, :]
+    return gxpad[crop]
 
 
 def window_maxpool(x, kernel, stride):

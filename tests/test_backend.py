@@ -883,6 +883,8 @@ class TestArtifactLoadErrors:
         assert sorted(dropped) == ["bias", "num_systems", "weights"]
         text = (root / "manifest.txt").read_text()
         for bad in (text.replace("bias=0.25", "bias=x"),
+                    text.replace("bias=0.25", "bias=nan"),
+                    text.replace("bias=0.25", "bias=inf"),
                     text.replace("num_systems=2", "num_systems=3")):
             (root / "manifest.txt").write_text(bad)
             with pytest.raises(TensorFormatError):

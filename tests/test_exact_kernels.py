@@ -36,8 +36,9 @@ class TestUnfold:
         conv = nn.Conv2D(3, 4, kernel, stride, rng=rng, dtype=dtype)
         x = rng.normal(size=(2, 13, 9, 3)).astype(dtype)
         out = conv.forward(x)
-        xpad, _, _, (out_h, out_w) = conv._cache
-        cols = conv._im2col(xpad, out_h, out_w)
+        xpad, _, taps = conv._cache
+        _, out_h, out_w, _ = out.shape
+        cols = conv._im2col(xpad, taps)
         want = loop_im2col(xpad, (kernel, kernel), (stride, stride), out_h, out_w)
         assert _bits_equal(cols, want)
         wmat = conv.weight.transpose(2, 3, 1, 0).reshape(-1, 4)
@@ -46,9 +47,10 @@ class TestUnfold:
     def test_rectangular_kernel_and_stride(self):
         rng = np.random.default_rng(3)
         conv = nn.Conv2D(2, 3, (3, 5), (2, 1), rng=rng)
-        conv.forward(rng.normal(size=(1, 11, 7, 2)).astype(np.float32))
-        xpad, _, _, (out_h, out_w) = conv._cache
-        assert _bits_equal(conv._im2col(xpad, out_h, out_w),
+        out = conv.forward(rng.normal(size=(1, 11, 7, 2)).astype(np.float32))
+        xpad, _, taps = conv._cache
+        _, out_h, out_w, _ = out.shape
+        assert _bits_equal(conv._im2col(xpad, taps),
                            loop_im2col(xpad, (3, 5), (2, 1), out_h, out_w))
 
 

@@ -128,6 +128,20 @@ def test_manifest_rejects_wrong_kind_or_version(tmp_path):
         fileio.read_manifest(path, "svnet", 2)
 
 
+@pytest.mark.parametrize("line, what", [
+    ("n=4", "key 'n'"), ("tensor=a.weight file=a.weight.svt", "tensor 'a.weight'")])
+def test_manifest_rejects_a_repeated_key(tmp_path, line, what):
+    # neither line may win silently: an appended field would reshape a
+    # checkpoint's network
+    path = tmp_path / "manifest.txt"
+    fileio.write_manifest(path, "svnet", 1, {"k": "v", "n": "3"},
+                          {"a.weight": "a.weight.svt"})
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(TensorFormatError) as exc:
+        fileio.read_manifest(path, "svnet", 1)
+    assert str(exc.value) == f"duplicate {what} in {path}"
+
+
 @pytest.mark.parametrize("entry", [
     "weights file=../outside.svt", "../outside file=../outside.svt",
     "weights file={outside}", "weights file=other.svt"])

@@ -443,6 +443,14 @@ class TestCheckpointErrors:
             load_network(saved)
         assert f"'{name}' has shape {shape}, expected {want}" in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["block5.conv1.weight", "block1.proj.weight"])
+    def test_undefined_tensor(self, saved, name):
+        self._rewrite(saved, replace_with={name: np.ones((2, 2, 3, 3))})
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert str(exc.value) == (f"checkpoint {saved} holds tensor '{name}', "
+                                  "which its config does not define")
+
     def test_negative_running_variance(self, saved):
         name = "block2.bn1.running_var"
         var = np.ones(2, dtype=np.float32)
@@ -469,6 +477,17 @@ class TestCheckpointErrors:
             if not ln.startswith("stem_channels=")))
         with pytest.raises(TensorFormatError, match="stem_channels"):
             load_network(saved)
+
+    @pytest.mark.parametrize("line", ["bn_initialized=yes\n", "bn_initialized=\n", ""])
+    def test_bn_initialized_is_0_or_1(self, saved, line):
+        # a garbled or missing flag must not load as "never trained"
+        manifest = saved / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("bn_initialized=1\n", line))
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert str(exc.value).startswith(
+            f"checkpoint {saved} has a missing or bad field: ")
+        assert "bn_initialized" in str(exc.value)
 
     @pytest.mark.parametrize("field, value", [
         ("stem_channels", "-16"),
