@@ -259,11 +259,15 @@ def fit_backends(records: dict, background_utts_by_phrase: dict[str, list[str]],
     The s-norm cohort is all of them when ``cohort_size`` is 0, else the
     first ``cohort_size`` taken round-robin across speakers, each speaker's
     utterances in id order; cohort rows follow sorted ids.  An empty
-    mapping is an InsufficientDataError: no backend could be saved.
+    mapping, or a ``cohort_size`` other than 0 or >= 2, is an
+    InsufficientDataError: no backend could be saved and loaded.
     """
     if not background_utts_by_phrase:
         raise InsufficientDataError(
             "no background utterances to fit a backend on")
+    if cohort_size < 0 or cohort_size == 1:
+        raise InsufficientDataError(
+            f"cohort_size must be 0 (all) or >= 2, got {cohort_size}")
     backends = {}
     for phrase in sorted(background_utts_by_phrase):
         by_speaker: dict[str, list[str]] = {}
@@ -365,70 +369,63 @@ def score_trials(table, records: dict, enroll_map: dict[str, list[str]],
 
 
 def save_backends(path, backends: dict[str, "PhraseBackend"]) -> None:
-    """Write ``backends`` as one directory artifact.  The manifest joins
-    phrase ids with ',', so a phrase id that holds one, or an empty
-    mapping, is a TensorFormatError before any file is written."""
+    """Write ``backends`` as one directory artifact, two tensors per phrase;
+    an empty mapping is a TensorFormatError before any file is written."""
     if not backends:
         raise TensorFormatError("cannot save backend: it holds no phrases")
-    for phrase in backends:
-        if "," in phrase:
-            raise TensorFormatError(
-                f"cannot save backend: phrase id '{phrase}' contains ','")
     tensors = {}
     for phrase in sorted(backends):
         tensors[f"{phrase}.wccn_matrix"] = backends[phrase].wccn
         tensors[f"{phrase}.cohort"] = backends[phrase].cohort
-    fileio.write_tensor_dir(path, "svbackend", 4,
-                            {"phrases": ",".join(sorted(backends))},
-                            tensors, np.float64)
+    fileio.write_tensor_dir(path, "svbackend", 5, {}, tensors, np.float64)
 
 
 def load_backends(path) -> dict[str, "PhraseBackend"]:
-    """Rebuild saved backends; a missing or mis-shaped field or tensor, a
-    manifest that lists no phrases, or one of another version than
-    ``svbackend 4`` (versions 1 to 3 must be refit) is a
+    """Rebuild saved backends, one per phrase that the tensor names hold; no
+    tensors, a missing, mis-shaped or stray one, a one-row cohort, or another
+    version than ``svbackend 5`` (1 to 4 must be refit) is a
     TensorFormatError."""
-    fields, tensors = fileio.read_tensor_dir(path, "svbackend", 4)
-    # tensors, not an empty 'phrases=', which also names the phrase id ''
+    _, tensors = fileio.read_tensor_dir(path, "svbackend", 5)
     if not tensors:
-        raise TensorFormatError(f"backend {path} lists no phrases")
+        raise TensorFormatError(f"backend {path} holds no tensors")
     backends = {}
-    try:
-        for phrase in fields["phrases"].split(","):
-            wccn = tensors[f"{phrase}.wccn_matrix"]
-            cohort = tensors[f"{phrase}.cohort"]
-            d = wccn.shape[0]
-            if wccn.shape != (d, d) or cohort.shape[1:] != (d,):
-                raise TensorFormatError(
-                    f"backend {path} phrase '{phrase}' has shapes "
-                    f"{wccn.shape} and {cohort.shape}, not (d, d) and (n, d)")
-            backends[phrase] = PhraseBackend(wccn, cohort)
-    except KeyError as exc:
+    for phrase in sorted({name.rpartition(".")[0] for name in tensors
+                          if name.endswith((".wccn_matrix", ".cohort"))}):
+        try:
+            wccn = tensors.pop(f"{phrase}.wccn_matrix")
+            cohort = tensors.pop(f"{phrase}.cohort")
+        except KeyError as exc:
+            raise TensorFormatError(
+                f"backend {path} has no tensor {exc}") from None
+        d = wccn.shape[0]
+        if wccn.shape != (d, d) or cohort.shape[1:] != (d,):
+            raise TensorFormatError(
+                f"backend {path} phrase '{phrase}' has shapes "
+                f"{wccn.shape} and {cohort.shape}, not (d, d) and (n, d)")
+        if cohort.shape[0] < 2:
+            raise TensorFormatError(
+                f"backend {path} phrase '{phrase}' has a one-row cohort in "
+                f"{phrase}.cohort.svt; s-norm needs at least 2 rows")
+        backends[phrase] = PhraseBackend(wccn, cohort)
+    if tensors:
         raise TensorFormatError(
-            f"backend {path} has no field or tensor {exc}") from None
+            f"backend {path} holds stray tensor '{min(tensors)}'")
     return backends
 
 
 def save_fusion(path, model: FusionModel) -> None:
-    fileio.write_tensor_dir(path, "svfusion", 2,
-                            {"bias": repr(model.bias),
-                             "num_systems": str(model.weights.size)},
-                            {"weights": model.weights}, np.float64)
+    coefficients = np.append(model.weights, model.bias)  # weights, then bias
+    fileio.write_tensor_dir(path, "svfusion", 3, {},
+                            {"coefficients": coefficients}, np.float64)
 
 
 def load_fusion(path) -> FusionModel:
-    fields, tensors = fileio.read_tensor_dir(path, "svfusion", 2)
-    try:
-        weights = tensors["weights"]
-        bias = float(fields["bias"])
-        if not math.isfinite(bias):  # float() parses nan and inf
-            raise ValueError(f"bias={fields['bias']} is not finite")
-        num_systems = int(fields["num_systems"])
-    except (KeyError, ValueError) as exc:
+    """Rebuild a saved fusion model from its one ``[k + 1]`` tensor."""
+    _, tensors = fileio.read_tensor_dir(path, "svfusion", 3)
+    coefficients = tensors.get("coefficients", np.zeros(0))
+    if len(tensors) != 1 or coefficients.ndim != 1 or coefficients.size < 2:
+        shapes = {name: t.shape for name, t in tensors.items()}
         raise TensorFormatError(
-            f"fusion model {path} has a missing or bad entry: {exc}") from None
-    if weights.shape != (num_systems,):
-        raise TensorFormatError(
-            f"fusion model {path} has weights of shape {weights.shape} "
-            f"for {num_systems} systems")
-    return FusionModel(weights, bias)
+            f"fusion model {path} holds tensors {shapes}, not one "
+            "'coefficients' of shape (k + 1,) with k >= 1")
+    return FusionModel(coefficients[:-1], float(coefficients[-1]))

@@ -237,11 +237,19 @@ def load_network(path) -> Network:
     checkpoint must hold exactly the tensors it holds, each with its exact
     shape, and ``bn_initialized`` must be 0 or 1."""
     entries, tensors = fileio.read_tensor_dir(path, "svnet", 1)
+
+    def parse(f):
+        """Config field ``f`` as its type; a bad value names the field."""
+        text = entries[f.name]
+        try:
+            return (tuple(int(v) for v in text.split(","))
+                    if isinstance(f.default, tuple) else int(text))
+        except ValueError as exc:
+            raise ValueError(f"{f.name}={text}: {exc}") from None
+
     try:
-        config = NetworkConfig(**{
-            f.name: (tuple(int(v) for v in entries[f.name].split(","))
-                     if isinstance(f.default, tuple) else int(entries[f.name]))
-            for f in fields(NetworkConfig)})
+        config = NetworkConfig(**{f.name: parse(f)
+                                  for f in fields(NetworkConfig)})
         initialized = entries["bn_initialized"]
         if initialized not in ("0", "1"):
             raise ValueError(f"bn_initialized={initialized} is not 0 or 1")

@@ -450,6 +450,16 @@ class TestPhraseGlue:
                            match="no background utterances"):
             fit_backends(records, {})
 
+    @pytest.mark.parametrize("cohort_size", [-1, 1])
+    def test_fit_backends_rejects_cohort_size(self, cohort_size):
+        # a one-row cohort cannot s-normalize, and load_backends refuses it
+        records = _toy_records(np.random.default_rng(36))
+        background = {p: [u for u, r in records.items() if r.phrase_id == p]
+                      for p in ("p0", "p1")}
+        with pytest.raises(InsufficientDataError, match=re.escape(
+                f"cohort_size must be 0 (all) or >= 2, got {cohort_size}")):
+            fit_backends(records, background, cohort_size)
+
     @pytest.fixture()
     def scored_setup(self):
         rng = np.random.default_rng(33)
@@ -605,15 +615,6 @@ class TestPhraseGlue:
         assert (score_trials(trials, records, enroll, restored)
                 == score_trials(trials, records, enroll, backends))
 
-    def test_save_rejects_phrase_id_with_comma(self, scored_setup, tmp_path):
-        _, backends, _, _ = scored_setup
-        renamed = {"p,0": backends["p0"], "p1": backends["p1"]}
-        with pytest.raises(TensorFormatError, match=re.escape(
-                "phrase id 'p,0' contains ','")) as exc:
-            save_backends(tmp_path / "backend", renamed)
-        assert "\n" not in str(exc.value)
-        assert not (tmp_path / "backend").exists()
-
     @pytest.mark.parametrize("phrase", ["a file=b", "a\nb"])
     def test_save_rejects_phrase_id_the_manifest_cannot_read(
             self, scored_setup, tmp_path, phrase):
@@ -631,11 +632,13 @@ class TestPhraseGlue:
         assert not (tmp_path / "backend").exists()
 
     @pytest.mark.parametrize("phrase, suffix", [
-        ("p=0", ""), ("p 0", ""), ("", ""), ("p0", ",x")])
+        ("p=0", ""), ("p 0", ""), ("", ""), ("p,0", ""), ("p0.cohort", ""),
+        ("p0", ",x")])
     def test_ids_with_other_separators_round_trip(
             self, tmp_path, phrase, suffix):
-        # '=', ' ' or nothing in a phrase id, and ',' in a background
-        # utterance id: the backend saves, reloads and scores as fitted
+        # '=', ' ', ',', a dot before a tensor kind or nothing in a phrase
+        # id, and ',' in a background utterance id: the backend saves,
+        # reloads and scores as fitted
         records = _toy_records(np.random.default_rng(33),
                                phrases=(phrase, "p1"))
         utt = f"s0_{phrase}_0"
@@ -824,42 +827,62 @@ class TestArtifactLoadErrors:
     def test_backend_missing_entry(self, tmp_path):
         records, backends, _, _ = _scoring_setup(11, 2, 4)
         save_backends(tmp_path / "backend", backends)
+        lines = (tmp_path / "backend" / "manifest.txt").read_text().splitlines()
+        assert lines[0] == "svbackend 5"
+        assert all(ln.startswith("tensor=") for ln in lines[1:])
         dropped = []
         for name, line in _dropping_each_manifest_line(tmp_path / "backend"):
             with pytest.raises(TensorFormatError) as exc:
                 load_backends(tmp_path / "backend")
             assert name in str(exc.value) and "\n" not in str(exc.value)
             dropped.append(name)
-        # phrases, and two tensors for each of two phrases
-        assert len(dropped) == 5
+        # two tensors for each of two phrases
+        assert sorted(dropped) == ["p0.cohort", "p0.wccn_matrix",
+                                   "p1.cohort", "p1.wccn_matrix"]
         assert sorted(load_backends(tmp_path / "backend")) == ["p0", "p1"]
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_backend_older_version_refused(self, tmp_path, version):
-        # versions 1 to 3 also stored the cohort's utterance ids, and
-        # versions 1 and 2 the regularized covariance
+        # versions 1 to 4 also listed the phrases, versions 1 to 3 the
+        # cohort's utterance ids, and versions 1 and 2 the regularized
+        # covariance
         _, backends, _, _ = _scoring_setup(13, 1, 4)
         b = backends["p0"]
         root = tmp_path / "backend"
         tensors = {"p0.wccn_matrix": b.wccn, "p0.cohort": b.cohort}
         if version < 3:
             tensors["p0.wccn_covariance"] = np.eye(4)
-        ids = ",".join(f"u{i}" for i in range(len(b.cohort)))
-        write_tensor_dir(root, "svbackend", version,
-                         {"phrases": "p0", "cohort.p0": ids},
+        fields = {"phrases": "p0"}
+        if version < 4:
+            fields["cohort.p0"] = ",".join(f"u{i}"
+                                           for i in range(len(b.cohort)))
+        write_tensor_dir(root, "svbackend", version, fields,
                          tensors, np.float32 if version == 1 else np.float64)
         with pytest.raises(TensorFormatError) as exc:
             load_backends(root)
         assert str(exc.value) == (
-            f"expected 'svbackend 4' header in {root / 'manifest.txt'}, "
+            f"expected 'svbackend 5' header in {root / 'manifest.txt'}, "
             f"got 'svbackend {version}'")
 
     def test_backend_listing_no_phrases(self, tmp_path):
         root = tmp_path / "backend"
-        write_tensor_dir(root, "svbackend", 4, {"phrases": ""}, {})
+        write_tensor_dir(root, "svbackend", 5, {}, {})
         with pytest.raises(TensorFormatError) as exc:
             load_backends(root)
-        assert str(exc.value) == f"backend {root} lists no phrases"
+        assert str(exc.value) == f"backend {root} holds no tensors"
+
+    @pytest.mark.parametrize("stray", ["p0.extra", "q.extra", "cohort"])
+    def test_backend_stray_tensor_refused(self, tmp_path, stray):
+        # a tensor that is no phrase's wccn_matrix or cohort
+        _, backends, _, _ = _scoring_setup(14, 1, 4)
+        b = backends["p0"]
+        root = tmp_path / "backend"
+        write_tensor_dir(root, "svbackend", 5, {},
+                         {"p0.wccn_matrix": b.wccn, "p0.cohort": b.cohort,
+                          stray: np.ones(3)}, np.float64)
+        with pytest.raises(TensorFormatError) as exc:
+            load_backends(root)
+        assert str(exc.value) == f"backend {root} holds stray tensor '{stray}'"
 
     def test_backend_mis_shaped_cohort(self, tmp_path):
         records, backends, _, _ = _scoring_setup(12, 1, 4)
@@ -871,38 +894,66 @@ class TestArtifactLoadErrors:
         with pytest.raises(TensorFormatError, match="p0"):
             load_backends(tmp_path / "backend")
 
+    def test_backend_one_row_cohort(self, tmp_path):
+        # s-norm needs 2 rows, and scoring could not name the file
+        records, backends, _, _ = _scoring_setup(12, 1, 4)
+        root = tmp_path / "backend"
+        save_backends(root, backends)
+        write_tensor(root / "p0.cohort.svt", backends["p0"].cohort[:1],
+                     np.float64)
+        with pytest.raises(TensorFormatError) as exc:
+            load_backends(root)
+        assert str(exc.value) == (
+            f"backend {root} phrase 'p0' has a one-row cohort in "
+            "p0.cohort.svt; s-norm needs at least 2 rows")
+
     def test_fusion_missing_or_bad_entry(self, tmp_path):
         root = tmp_path / "fusion"
         save_fusion(root, FusionModel(np.array([0.5, -1.0]), 0.25))
+        lines = (root / "manifest.txt").read_text().splitlines()
+        assert lines == ["svfusion 3",
+                         "tensor=coefficients file=coefficients.svt"]
         dropped = []
         for name, line in _dropping_each_manifest_line(root):
             with pytest.raises(TensorFormatError) as exc:
                 load_fusion(root)
             assert name in str(exc.value) and "\n" not in str(exc.value)
             dropped.append(name)
-        assert sorted(dropped) == ["bias", "num_systems", "weights"]
-        text = (root / "manifest.txt").read_text()
-        for bad in (text.replace("bias=0.25", "bias=x"),
-                    text.replace("bias=0.25", "bias=nan"),
-                    text.replace("bias=0.25", "bias=inf"),
-                    text.replace("num_systems=2", "num_systems=3")):
-            (root / "manifest.txt").write_text(bad)
-            with pytest.raises(TensorFormatError):
+        assert dropped == ["coefficients"]
+        coefficients = np.array([0.5, -1.0, 0.25])
+        svt = str(root / "coefficients.svt")
+        for tensors, says in (
+                ({"coefficients": np.array([0.5, -1.0, np.nan])},
+                 f"{svt}: non-finite value"),
+                ({"coefficients": np.array([0.5, -1.0, np.inf])},
+                 f"{svt}: non-finite value"),
+                ({"coefficients": coefficients[None, :]}, "(1, 3)"),
+                ({"coefficients": np.array([0.25])}, "(1,)"),
+                ({"coefficients": coefficients, "extra": np.ones(1)},
+                 "'extra'")):
+            for f in root.iterdir():
+                f.unlink()
+            write_tensor_dir(root, "svfusion", 3, {}, tensors, np.float64)
+            with pytest.raises(TensorFormatError) as exc:
                 load_fusion(root)
+            assert says in str(exc.value) and "\n" not in str(exc.value)
 
 
 class TestArtifactRoundTripProperties:
     """Saving and reloading a fitted backend or fusion model gives back the
     same bytes, whatever the dimension, cohort and ids."""
 
-    @given(st.integers(0, 5000), st.integers(2, 16), st.integers(1, 3),
-           st.integers(0, 12))
+    @given(st.integers(0, 5000), st.integers(2, 16),
+           st.lists(st.text(alphabet="p0,.", max_size=5)
+                    | st.sampled_from(["p0.cohort", "p0.wccn_matrix"]),
+                    min_size=1, max_size=3, unique=True),
+           st.sampled_from([0, *range(2, 13)]))
     @settings(max_examples=40, deadline=None)
-    def test_backends(self, seed, d, n_phrases, cohort_size):
+    def test_backends(self, seed, d, phrases, cohort_size):
+        # phrase ids holding ',' and '.', some ending in a tensor kind
         rng = np.random.default_rng(seed)
         records, background = {}, {}
-        for p in range(n_phrases):
-            phrase = f"p{p}"
+        for phrase in phrases:
             for s in range(int(rng.integers(2, 5))):
                 for _ in range(int(rng.integers(1, 4))):
                     uid = f"u{rng.integers(10**9):09d}_{len(records)}"

@@ -478,6 +478,21 @@ class TestCheckpointErrors:
         with pytest.raises(TensorFormatError, match="stem_channels"):
             load_network(saved)
 
+    @pytest.mark.parametrize("field, value, bad", [
+        ("stem_channels", "two", "'two'"),
+        ("block_strides", "1,x", "'x'"),
+    ])
+    def test_non_integer_field_is_named(self, saved, field, value, bad):
+        manifest = saved / "manifest.txt"
+        manifest.write_text("".join(
+            f"{field}={value}\n" if ln.startswith(f"{field}=") else ln
+            for ln in manifest.read_text().splitlines(keepends=True)))
+        with pytest.raises(TensorFormatError) as exc:
+            load_network(saved)
+        assert str(exc.value) == (
+            f"checkpoint {saved} has a missing or bad field: {field}={value}: "
+            f"invalid literal for int() with base 10: {bad}")
+
     @pytest.mark.parametrize("line", ["bn_initialized=yes\n", "bn_initialized=\n", ""])
     def test_bn_initialized_is_0_or_1(self, saved, line):
         # a garbled or missing flag must not load as "never trained"
